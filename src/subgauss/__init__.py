@@ -34,6 +34,7 @@ from .core_estimators import (
 )
 from .distributions import (
     DistributionSpec,
+    MomentOverflowError,
     Sample,
     as_values,
     format_distribution,
@@ -86,6 +87,7 @@ __all__ = [
     "ExperimentConfig",
     "IntervalFamily",
     "KurtosisConfig",
+    "MomentOverflowError",
     "Sample",
     "TailReport",
     "TailRow",

@@ -4,6 +4,15 @@ Each kernel evaluates one estimator on every row of a (trials, n) matrix at
 once.  Block sums use a single reduceat over the flattened matrix with the
 same block layout as the one-sample reference implementations, so batch
 results agree with per-trial calls up to floating-point reassociation.
+
+Memory contract of the variance and truncation kernels: they walk the
+matrix in row tiles of about _TILE_BYTES and write every elementwise
+intermediate into one (tile, n) scratch buffer allocated per call, so no
+(trials, n) temporary exists beyond that tile and concurrent calls on
+threads share nothing.  combined_adaptive_rows computes the block variances
+once per distinct block count, not once per level.  The tiling changes no
+value: each block sum is the same reduceat over the same contiguous values,
+so results are bit-identical to the untiled formulas.
 """
 
 from __future__ import annotations
@@ -15,6 +24,25 @@ import numpy as np
 from .core_estimators import _block_layout, _ceil_tol
 
 _LN2 = math.log(2.0)
+_TILE_BYTES = 1 << 20  # one scratch tile of float64 rows: about 1 MB
+
+
+def _tile_rows(n: int) -> int:
+    """Rows per scratch tile for rows of length n (at least one)."""
+    return max(1, _TILE_BYTES // (8 * n))
+
+
+def _row_tiles(t: int, n: int):
+    """Yield (row slice, scratch) pairs covering t rows of length n.
+
+    The scratch is a contiguous (rows, n) view of one buffer allocated for
+    this call alone.
+    """
+    step = _tile_rows(n)
+    buf = np.empty((min(step, t), n))
+    for lo in range(0, t, step):
+        hi = min(lo + step, t)
+        yield slice(lo, hi), buf[: hi - lo]
 
 
 def _rank0(b: int, alpha: float) -> int:
@@ -49,14 +77,33 @@ def mom_variance_rows(chunk: np.ndarray, b: int) -> np.ndarray:
     """Median of per-block unbiased variances for every row.
 
     Centered like the one-sample formula, so near-constant blocks far from
-    zero keep full precision.
+    zero keep full precision.  Each row tile is centered block by block
+    through reshaped views: the first n mod b blocks have q+1 values and the
+    rest q, so (rows, r, q+1) and (rows, b-r, q) views broadcast the block
+    means without a gather.
     """
-    starts, sizes = _block_layout(chunk.shape[1], b)
-    mean = _segment_sums(chunk, starts) / sizes
-    block_of = np.repeat(np.arange(starts.size), sizes)
-    centered = chunk - mean[:, block_of]
-    ss = _segment_sums(centered * centered, starts)
-    var = np.maximum(ss / (sizes - 1), 0.0)
+    t, n = chunk.shape
+    starts, sizes = _block_layout(n, b)
+    q, r = divmod(n, b)
+    split = r * (q + 1)
+    var = np.empty((t, b))
+    for rows, buf in _row_tiles(t, n):
+        tile = chunk[rows]
+        m = buf.shape[0]
+        mean = _segment_sums(tile, starts) / sizes
+        if r:
+            np.subtract(
+                tile[:, :split].reshape(m, r, q + 1),
+                mean[:, :r, None],
+                out=buf[:, :split].reshape(m, r, q + 1),
+            )
+        np.subtract(
+            tile[:, split:].reshape(m, b - r, q),
+            mean[:, r:, None],
+            out=buf[:, split:].reshape(m, b - r, q),
+        )
+        np.multiply(buf, buf, out=buf)
+        var[rows] = np.maximum(_segment_sums(buf, starts) / (sizes - 1), 0.0)
     return _select_rows(var, _rank0(b, 0.5))
 
 
@@ -81,8 +128,13 @@ def truncated_pipeline_rows(chunk: np.ndarray, b_max: int) -> np.ndarray:
     mu = mom_rows(chunk, b_max)
     nu2 = mom_variance_rows(chunk, b_max)
     r = np.sqrt(nu2) * math.sqrt(n / (2.0 * b_max))
-    clipped = np.clip(chunk, (mu - r)[:, None], (mu + r)[:, None])
-    return clipped.mean(axis=1)
+    lo = (mu - r)[:, None]
+    hi = (mu + r)[:, None]
+    est = np.empty(chunk.shape[0])
+    for rows, buf in _row_tiles(*chunk.shape):
+        np.clip(chunk[rows], lo[rows], hi[rows], out=buf)
+        est[rows] = buf.mean(axis=1)
+    return est
 
 
 def combine_rows(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,6 +159,11 @@ def _mom_block_count(k: int) -> int:
     return max(1, _ceil_tol(-math.log(2.0**-k)))
 
 
+def _variance_block_count(k: int) -> int:
+    # same arithmetic as adaptive_family at level k
+    return max(2, _ceil_tol(k * _LN2))
+
+
 def combined_fixed_rows(chunk: np.ndarray, m: int, sigma2_hi: float) -> np.ndarray:
     """Combined estimate per row, radii from a known variance bound."""
     t, n = chunk.shape
@@ -127,10 +184,14 @@ def combined_adaptive_rows(chunk: np.ndarray, m: int) -> np.ndarray:
     a = 2.0 * math.sqrt(2.0) * math.e * 2.0
     los = np.empty((t, m))
     his = np.empty((t, m))
+    # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
+    nu2_of = {
+        b: mom_variance_rows(chunk, b)
+        for b in {_variance_block_count(k) for k in range(1, m + 1)}
+    }
     for k in range(1, m + 1):
         centers = mom_rows(chunk, _mom_block_count(k))
-        b_k = max(2, _ceil_tol(k * _LN2))
-        nu2 = mom_variance_rows(chunk, b_k)
+        nu2 = nu2_of[_variance_block_count(k)]
         radius = (a * np.sqrt(nu2)) * math.sqrt((1.0 + k * _LN2) / n)
         los[:, k - 1] = centers - radius
         his[:, k - 1] = centers + radius

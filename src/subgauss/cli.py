@@ -15,7 +15,7 @@ import numpy as np
 
 from .adversarial import infvar_stress
 from .core_estimators import median_of_means, quantile_interval
-from .distributions import parse_distribution, regularity_probe
+from .distributions import MomentOverflowError, parse_distribution, regularity_probe
 from .harness import ESTIMATORS, ExperimentConfig, run_tail_experiment, write_report
 from .interval_combiner import multiple_delta_estimate
 from .kurtosis_pipeline import KurtosisConfig, _pipeline, kurtosis_estimate, xi_terms
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--diagnostics", action="store_true")
 
     bench = sub.add_parser("bench", help="run a Monte Carlo tail experiment")
-    bench.add_argument("--dist", required=True, type=parse_distribution)
+    bench.add_argument("--dist", required=True)
     bench.add_argument("--estimator", required=True, choices=ESTIMATORS)
     bench.add_argument("--n", required=True, type=int)
     bench.add_argument("--trials", required=True, type=int)
@@ -79,11 +79,22 @@ def _build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--estimator", choices=("empirical", "mom"), default="empirical")
 
     probe = sub.add_parser("probe", help="estimate j-sum sign frequencies")
-    probe.add_argument("--dist", required=True, type=parse_distribution)
+    probe.add_argument("--dist", required=True)
     probe.add_argument("--j", required=True, type=int)
     probe.add_argument("--trials", required=True, type=int)
     probe.add_argument("--seed", required=True, type=int)
     return parser
+
+
+def _parse_dist(parser: argparse.ArgumentParser, text: str):
+    # A malformed spec is a usage error (exit 2); a well-formed one whose
+    # moments overflow is a runtime error (exit 1), like any bad data.
+    try:
+        return parse_distribution(text)
+    except MomentOverflowError:
+        raise
+    except ValueError as exc:
+        parser.error(f"argument --dist: {exc}")
 
 
 def _read_values(path: str) -> np.ndarray:
@@ -217,6 +228,8 @@ def run_cli(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
+        if args.command in ("bench", "probe"):
+            args.dist = _parse_dist(parser, args.dist)
         if args.command == "estimate":
             return _cmd_estimate(parser, args)
         if args.command == "bench":

@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "DistributionSpec",
+    "MomentOverflowError",
     "Sample",
     "parse_distribution",
     "format_distribution",
@@ -22,6 +23,10 @@ __all__ = [
     "regularity_probe",
     "as_values",
 ]
+
+
+class MomentOverflowError(ValueError):
+    """A well-formed spec whose exact mean or variance is not a finite float."""
 
 
 @dataclass(frozen=True)
@@ -35,11 +40,18 @@ class DistributionSpec:
     kappa: float
 
     def __post_init__(self):
+        # Scores against an infinite mean or variance are meaningless; an
+        # infinite kappa is legal (pareto with alpha <= 4).
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma2)):
+            raise MomentOverflowError(
+                f"{self.family}{self.params}: mu and sigma2 must be finite, "
+                f"got mu={self.mu!r}, sigma2={self.sigma2!r}"
+            )
         if self.sigma2 < 0.0:
             raise ValueError("sigma2 must be >= 0")
         if self.sigma2 == 0.0 and self.kappa != 1.0:
             raise ValueError("degenerate distributions must have kappa = 1")
-        if self.kappa < 1.0:
+        if not self.kappa >= 1.0:  # also rejects NaN
             raise ValueError("kappa must be >= 1")
 
 
@@ -210,7 +222,8 @@ def parse_distribution(spec_string: str) -> DistributionSpec:
     bern2-:C,P | constant:C``, parameters as decimal literals.
 
     Raises ValueError for an unknown family, a wrong parameter count, or
-    parameters outside the family's domain.
+    parameters outside the family's domain, and its subclass
+    MomentOverflowError when the exact mean or variance is not finite.
     """
     head, sep, tail = spec_string.partition(":")
     name = head.strip()
@@ -227,8 +240,13 @@ def parse_distribution(spec_string: str) -> DistributionSpec:
         )
     if not all(math.isfinite(p) for p in params):
         raise ValueError(f"parameters must be finite in {spec_string!r}")
-    mu, sigma2, kappa = _MOMENTS[family](*params)
-    return DistributionSpec(family, params, mu, sigma2, kappa)
+    try:
+        mu, sigma2, kappa = _MOMENTS[family](*params)
+        return DistributionSpec(family, params, mu, sigma2, kappa)
+    except (OverflowError, MomentOverflowError):
+        raise MomentOverflowError(
+            f"moments of {spec_string!r} overflow float64"
+        ) from None
 
 
 def format_distribution(dist: DistributionSpec) -> str:

@@ -127,16 +127,17 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
     values = as_values(sample)
     n = values.size
     m = _family_depth(delta_min, n)
-    b_m = max(2, _ceil_tol(m * _LN2))
-    if n // b_m < 2:
+    b_of = [max(2, _ceil_tol(k * _LN2)) for k in range(1, m + 1)]
+    if n // b_of[-1] < 2:
         raise ValueError(
-            f"sample too small for the deepest level (n={n}, b_{m}={b_m})"
+            f"sample too small for the deepest level (n={n}, b_{m}={b_of[-1]})"
         )
+    # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
+    nu2_of = {b: mom_variance(values, b) for b in set(b_of)}
     intervals = []
     for k in range(1, m + 1):
         center = median_of_means(values, 2.0**-k)
-        b_k = max(2, _ceil_tol(k * _LN2))
-        nu2 = mom_variance(values, b_k)
+        nu2 = nu2_of[b_of[k - 1]]
         radius = (
             2.0 * math.sqrt(2.0) * math.e * 2.0 * math.sqrt(nu2)
             * math.sqrt((1.0 + k * _LN2) / n)

@@ -296,6 +296,16 @@ class TestBench:
         assert run_cli(args) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("dist", ["lognormal:0,14", "gaussian:1e300,1e300"])
+    def test_overflowing_moments_is_runtime_error(self, tmp_path, capsys, dist):
+        out = tmp_path / "x.csv"
+        args = list(self.BASE) + ["--out", str(out), "--format", "csv"]
+        args[2] = dist
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and dist in err
+        assert not out.exists()
+
     def test_unsatisfiable_config_is_runtime_error(self, tmp_path, capsys):
         args = list(self.BASE) + ["--out", str(tmp_path / "x.csv"), "--format", "csv"]
         args[6] = "3"  # mom needs n >= 4
@@ -375,6 +385,14 @@ class TestProbe:
         p_plus = float(lines[1].split(" = ")[1])
         assert p_minus + p_plus >= 1.0
         assert min(p_minus, p_plus) > 0.45
+
+
+    def test_overflowing_moments_is_runtime_error(self, capsys):
+        code = run_cli(
+            ["probe", "--dist", "lognormal:0,14", "--j", "1", "--trials", "10", "--seed", "0"]
+        )
+        assert code == 1
+        assert "lognormal:0,14" in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -7,6 +7,7 @@ import scipy.stats
 
 from subgauss import (
     DistributionSpec,
+    MomentOverflowError,
     Sample,
     as_values,
     format_distribution,
@@ -326,3 +327,29 @@ def test_spec_rejects_inconsistent_moments():
         DistributionSpec("gaussian", (0.0, 1.0), 0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         DistributionSpec("gaussian", (0.0, 1.0), 0.0, -1.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "lognormal:0,14",
+        "lognormal:800,1",
+        "gaussian:1e300,1e300",
+        "pareto:3,1e200",
+        "pareto:5,1e100",
+    ],
+)
+def test_parse_rejects_overflowing_moments(spec):
+    with pytest.raises(MomentOverflowError, match=spec):
+        parse_distribution(spec)
+
+
+def test_spec_rejects_non_finite_mean_or_variance():
+    bad = [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.inf), (0.0, math.nan)]
+    for mu, sigma2 in bad:
+        with pytest.raises(ValueError, match="must be finite"):
+            DistributionSpec("gaussian", (0.0, 1.0), mu, sigma2, 3.0)
+    with pytest.raises(ValueError):
+        DistributionSpec("gaussian", (0.0, 1.0), 0.0, 1.0, math.nan)
+    # an infinite kurtosis stays legal (pareto with alpha <= 4)
+    assert DistributionSpec("pareto", (3.0, 1.0), 0.0, 0.75, math.inf).kappa == math.inf
