@@ -9,8 +9,9 @@ Memory contract of the variance and truncation kernels: they walk the
 matrix in row tiles of about _TILE_BYTES and write every elementwise
 intermediate into one (tile, n) scratch buffer allocated per call, so no
 (trials, n) temporary exists beyond that tile and concurrent calls on
-threads share nothing.  combined_adaptive_rows computes the block variances
-once per distinct block count, not once per level.  The tiling changes no
+threads share nothing.  The combined kernels compute the median-of-means
+centres, and combined_adaptive_rows the block variances, once per distinct
+block count, not once per level.  The tiling changes no
 value: each block sum is the same reduceat over the same contiguous values,
 so results are bit-identical to the untiled formulas.
 """
@@ -160,8 +161,13 @@ def _mom_block_count(k: int) -> int:
 
 
 def _variance_block_count(k: int) -> int:
-    # same arithmetic as adaptive_family at level k
+    # variance block count of adaptive_family at level k
     return max(2, _ceil_tol(k * _LN2))
+
+
+def _level_centers(chunk: np.ndarray, m: int) -> dict:
+    # Levels share block counts (k = 1..9 use 7 distinct b): one pass each.
+    return {b: mom_rows(chunk, b) for b in {_mom_block_count(k) for k in range(1, m + 1)}}
 
 
 def combined_fixed_rows(chunk: np.ndarray, m: int, sigma2_hi: float) -> np.ndarray:
@@ -170,8 +176,9 @@ def combined_fixed_rows(chunk: np.ndarray, m: int, sigma2_hi: float) -> np.ndarr
     scale = 2.0 * math.sqrt(2.0) * math.e * math.sqrt(sigma2_hi)
     los = np.empty((t, m))
     his = np.empty((t, m))
+    centers_of = _level_centers(chunk, m)
     for k in range(1, m + 1):
-        centers = mom_rows(chunk, _mom_block_count(k))
+        centers = centers_of[_mom_block_count(k)]
         radius = scale * math.sqrt((1.0 + k * _LN2) / n)
         los[:, k - 1] = centers - radius
         his[:, k - 1] = centers + radius
@@ -189,8 +196,9 @@ def combined_adaptive_rows(chunk: np.ndarray, m: int) -> np.ndarray:
         b: mom_variance_rows(chunk, b)
         for b in {_variance_block_count(k) for k in range(1, m + 1)}
     }
+    centers_of = _level_centers(chunk, m)
     for k in range(1, m + 1):
-        centers = mom_rows(chunk, _mom_block_count(k))
+        centers = centers_of[_mom_block_count(k)]
         nu2 = nu2_of[_variance_block_count(k)]
         radius = (a * np.sqrt(nu2)) * math.sqrt((1.0 + k * _LN2) / n)
         los[:, k - 1] = centers - radius

@@ -146,13 +146,16 @@ def _moments_pareto(alpha, scale):
         raise ValueError("pareto needs SCALE > 0")
     var = scale * scale * alpha / ((alpha - 1.0) ** 2 * (alpha - 2.0))
     if alpha > 4.0:
-        # Central fourth moment from the raw moments of the unshifted law.
-        m1 = alpha * scale / (alpha - 1.0)
-        m2 = alpha * scale**2 / (alpha - 2.0)
-        m3 = alpha * scale**3 / (alpha - 3.0)
-        m4 = alpha * scale**4 / (alpha - 4.0)
+        # Kurtosis is scale-free, so take it at unit scale, where no power
+        # of the scale can overflow.  Central fourth moment from the raw
+        # moments of the unshifted law.
+        m1 = alpha / (alpha - 1.0)
+        m2 = alpha / (alpha - 2.0)
+        m3 = alpha / (alpha - 3.0)
+        m4 = alpha / (alpha - 4.0)
         mu4 = m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1**4
-        kappa = mu4 / (var * var)
+        unit_var = alpha / ((alpha - 1.0) ** 2 * (alpha - 2.0))
+        kappa = mu4 / (unit_var * unit_var)
     else:
         kappa = math.inf
     # Shifted to mean zero.
@@ -254,31 +257,108 @@ def format_distribution(dist: DistributionSpec) -> str:
     return _TOKEN[dist.family] + ":" + ",".join(repr(float(p)) for p in dist.params)
 
 
-def _draw(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    family = dist.family
+# Each family draws in two stages: a raw fill of one row from that row's
+# Generator, then an elementwise transform applied in place to every filled
+# row at once.  The transform uses the same ufuncs in the same operand order
+# as a one-row draw, so a row's values never depend on how many rows share
+# the block.
+
+
+def _fill_uniform(row, rng, p):
+    rng.random(out=row)
+
+
+def _fill_normal(row, rng, p):
+    rng.standard_normal(out=row)
+
+
+def _fill_laplace(row, rng, p):
+    row[...] = rng.laplace(loc=p[0], scale=1.0, size=row.size)
+
+
+def _fill_poisson(row, rng, p):
+    row[...] = rng.poisson(p[0], row.size)
+
+
+def _fill_student(row, rng, p):
+    row[...] = rng.standard_t(p[0], row.size)
+
+
+def _fill_lognormal(row, rng, p):
+    row[...] = rng.lognormal(p[0], p[1], row.size)
+
+
+def _fill_nothing(row, rng, p):
+    pass
+
+
+def _affine(block, p):
+    np.multiply(p[1], block, out=block)
+    np.add(p[0], block, out=block)
+
+
+def _pareto_inverse_cdf(block, p):
+    alpha, scale = p
+    # Inverse CDF on (0, 1]; 1 - random() never hits 0.
+    np.subtract(1.0, block, out=block)
+    np.power(block, -1.0 / alpha, out=block)
+    np.multiply(scale, block, out=block)
+    np.subtract(block, alpha * scale / (alpha - 1.0), out=block)
+
+
+def _select(block, prob, value):
+    hit = block < prob
+    block.fill(0.0)
+    np.copyto(block, value, where=hit)
+
+
+def _bern2_plus(block, p):
+    _select(block, p[1], p[0])
+
+
+def _bern2_minus(block, p):
+    _select(block, p[1], -p[0])
+
+
+def _constant(block, p):
+    block.fill(p[0])
+
+
+# family -> (raw fill of one row, in-place transform of the block or None)
+_STAGES = {
+    "gaussian": (_fill_normal, _affine),
+    "laplace": (_fill_laplace, None),
+    "poisson": (_fill_poisson, None),
+    "pareto": (_fill_uniform, _pareto_inverse_cdf),
+    "student_t": (_fill_student, None),
+    "lognormal": (_fill_lognormal, None),
+    "scaled_bernoulli_plus": (_fill_uniform, _bern2_plus),
+    "scaled_bernoulli_minus": (_fill_uniform, _bern2_minus),
+    "constant": (_fill_nothing, _constant),
+}
+
+
+def _draw_rows(dist: DistributionSpec, block: np.ndarray, rngs) -> None:
+    """Fill each row of the C-ordered float64 block from its own Generator.
+
+    Row i receives exactly ``_draw(dist, block.shape[1], rng_i)`` for the
+    i-th Generator of the iterable rngs.
+    """
+    stages = _STAGES.get(dist.family)
+    if stages is None:
+        raise ValueError(f"unknown family {dist.family!r}")
+    fill, transform = stages
     p = dist.params
-    if family == "gaussian":
-        return p[0] + p[1] * rng.standard_normal(n)
-    if family == "laplace":
-        return rng.laplace(loc=p[0], scale=1.0, size=n)
-    if family == "poisson":
-        return rng.poisson(p[0], n).astype(np.float64)
-    if family == "pareto":
-        alpha, scale = p
-        # Inverse CDF on (0, 1]; 1 - random() never hits 0.
-        u = 1.0 - rng.random(n)
-        return scale * u ** (-1.0 / alpha) - alpha * scale / (alpha - 1.0)
-    if family == "student_t":
-        return rng.standard_t(p[0], n)
-    if family == "lognormal":
-        return rng.lognormal(p[0], p[1], n)
-    if family == "scaled_bernoulli_plus":
-        return np.where(rng.random(n) < p[1], p[0], 0.0)
-    if family == "scaled_bernoulli_minus":
-        return np.where(rng.random(n) < p[1], -p[0], 0.0)
-    if family == "constant":
-        return np.full(n, p[0], dtype=np.float64)
-    raise ValueError(f"unknown family {family!r}")
+    for row, rng in zip(block, rngs):
+        fill(row, rng, p)
+    if transform is not None:
+        transform(block, p)
+
+
+def _draw(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    block = np.empty((1, n))
+    _draw_rows(dist, block, (rng,))
+    return block[0]
 
 
 def sample(dist: DistributionSpec, n: int, seed: int) -> Sample:

@@ -8,6 +8,12 @@ Reports are pure functions of the configuration: per-trial seeds derive from
 (seed, trial index) alone, trials are processed in fixed-size chunks whose
 layout never depends on the thread count, and aggregation order is fixed.
 Repeating a run with any number of threads yields byte-identical files.
+
+Each chunk is seeded and drawn in bulk: `seeding.trial_rngs` builds the
+chunk's Generators from array-computed seeds and states, each row is filled
+from its own Generator, and the family's transform runs once over the whole
+chunk.  Row t still holds exactly sample(dist, n, mix_seed(seed, t)), the
+stream of ``np.random.default_rng(mix_seed(seed, t))``.
 """
 
 from __future__ import annotations
@@ -23,10 +29,15 @@ import numpy as np
 from . import _batch
 from ._version import __version__
 from .core_estimators import _REG_MIN_FACTOR, _REG_RATE, _ceil_tol
-from .distributions import DistributionSpec, _draw, format_distribution
+from .distributions import DistributionSpec, _draw_rows, format_distribution
 from .interval_combiner import _family_depth
 from .kurtosis_pipeline import xi_terms
-from .seeding import mix_seed
+from .seeding import trial_rngs
+
+# Not called here, but perfbench/spans.py wraps the one-trial draw and
+# seeding layers under these names in this module.
+from .distributions import _draw  # noqa: F401
+from .seeding import mix_seed  # noqa: F401
 
 __all__ = [
     "ESTIMATORS",
@@ -110,7 +121,9 @@ class TailRow:
     below_delta_min (computed, but outside the stated guarantee range),
     undersampled (delta < 10/trials, quantile unreliable),
     subsampled_quantile (quantile from a stratified subsample; exceedance
-    still exact).
+    still exact),
+    nonfinite (at least one trial error is NaN or infinite: a NaN never
+    counts as an exceedance, so the row's numbers are not meaningful).
     """
 
     delta: float
@@ -330,14 +343,15 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
     step = max(1, min(_MAX_CHUNK_TRIALS, _CHUNK_TARGET // n))
     bounds = [(t0, min(t0 + step, trials)) for t0 in range(0, trials, step)]
     counts = np.zeros((len(bounds), nd), dtype=np.int64) if subsampled else None
+    # Per chunk and delta: whether any trial error is NaN or infinite.
+    nonfinite = np.zeros((len(bounds), nd), dtype=bool)
     m_depth = aux.get("m")
 
     def run_chunk(ci: int) -> None:
         t0, t1 = bounds[ci]
         c = t1 - t0
         mat = np.empty((c, n), dtype=np.float64)
-        for i in range(c):
-            mat[i] = _draw(dist, n, np.random.default_rng(mix_seed(config.seed, t0 + i)))
+        _draw_rows(dist, mat, trial_rngs(config.seed, t0, t1))
         if ddep:
             out = np.full((c, nd), np.nan)
             for j, b in specs:
@@ -356,6 +370,8 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
             else:
                 vals = _batch.truncated_pipeline_rows(mat, p["b_max"])
             out = np.abs(vals - mu)
+        finite = np.isfinite(out)
+        nonfinite[ci] = ~(finite.all(axis=0) if ddep else finite.all())
         if not subsampled:
             store[t0:t1] = out
             return
@@ -392,6 +408,8 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
             exceed_count = int(counts[:, j].sum())
         else:
             exceed_count = int(np.count_nonzero(col > radius[j]))
+        if nonfinite[:, j].any():
+            flags.append("nonfinite")
         t_eff = col.size
         r = min(max(_ceil_tol((1.0 - d) * t_eff), 1), t_eff)
         q = float(np.partition(col, r - 1)[r - 1])

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._batch import _mom_block_count, _variance_block_count
 from .core_estimators import (
     ConfidenceInterval,
-    _ceil_tol,
     _floor_tol,
     median_of_means,
     mom_variance,
@@ -96,6 +96,14 @@ def _family_depth(delta_min: float, n: int) -> int:
     return m
 
 
+def _level_centers(values, m: int) -> list[float]:
+    """Median-of-means at delta = 2^(-k) for k = 1..m, one call per block count."""
+    # Any level with block count b gives the same centre; keep the last.
+    level_of = {_mom_block_count(k): k for k in range(1, m + 1)}
+    center_of = {b: median_of_means(values, 2.0**-k) for b, k in level_of.items()}
+    return [center_of[_mom_block_count(k)] for k in range(1, m + 1)]
+
+
 def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFamily:
     """Median-of-means centers with radii from a known variance bound.
 
@@ -110,8 +118,7 @@ def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFa
     m = _family_depth(delta_min, n)
     scale = 2.0 * math.sqrt(2.0) * math.e * math.sqrt(sigma2_hi)
     intervals = []
-    for k in range(1, m + 1):
-        center = median_of_means(values, 2.0**-k)
+    for k, center in enumerate(_level_centers(values, m), start=1):
         radius = scale * math.sqrt((1.0 + k * _LN2) / n)
         intervals.append(ConfidenceInterval(center - radius, center + radius))
     return IntervalFamily(tuple(intervals))
@@ -127,7 +134,7 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
     values = as_values(sample)
     n = values.size
     m = _family_depth(delta_min, n)
-    b_of = [max(2, _ceil_tol(k * _LN2)) for k in range(1, m + 1)]
+    b_of = [_variance_block_count(k) for k in range(1, m + 1)]
     if n // b_of[-1] < 2:
         raise ValueError(
             f"sample too small for the deepest level (n={n}, b_{m}={b_of[-1]})"
@@ -135,8 +142,7 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
     # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
     nu2_of = {b: mom_variance(values, b) for b in set(b_of)}
     intervals = []
-    for k in range(1, m + 1):
-        center = median_of_means(values, 2.0**-k)
+    for k, center in enumerate(_level_centers(values, m), start=1):
         nu2 = nu2_of[b_of[k - 1]]
         radius = (
             2.0 * math.sqrt(2.0) * math.e * 2.0 * math.sqrt(nu2)

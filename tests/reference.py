@@ -1,9 +1,13 @@
-"""Untiled reference versions of the variance-based batch kernels.
+"""Reference formulas that the optimized code must match bit for bit.
 
-These are the straightforward whole-matrix formulas: the block means are
-gathered back to full row length, the centered squares live in (T, n)
-temporaries, and the variance is recomputed at every level.  The tiled
-kernels in subgauss._batch must agree with them bit for bit.
+`draw` is the one-expression-per-family sampler that the two-stage
+chunk draw in subgauss.distributions replaces.
+
+The rest are untiled reference versions of the variance-based batch
+kernels: the straightforward whole-matrix formulas, where the block means
+are gathered back to full row length, the centered squares live in (T, n)
+temporaries, and the centres and variances are recomputed at every level.
+The tiled kernels in subgauss._batch must agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +26,32 @@ from subgauss._batch import (
     mom_rows,
 )
 from subgauss.core_estimators import _block_layout, _ceil_tol
+
+
+def draw(dist, n: int, rng: np.random.Generator) -> np.ndarray:
+    family = dist.family
+    p = dist.params
+    if family == "gaussian":
+        return p[0] + p[1] * rng.standard_normal(n)
+    if family == "laplace":
+        return rng.laplace(loc=p[0], scale=1.0, size=n)
+    if family == "poisson":
+        return rng.poisson(p[0], n).astype(np.float64)
+    if family == "pareto":
+        alpha, scale = p
+        u = 1.0 - rng.random(n)
+        return scale * u ** (-1.0 / alpha) - alpha * scale / (alpha - 1.0)
+    if family == "student_t":
+        return rng.standard_t(p[0], n)
+    if family == "lognormal":
+        return rng.lognormal(p[0], p[1], n)
+    if family == "scaled_bernoulli_plus":
+        return np.where(rng.random(n) < p[1], p[0], 0.0)
+    if family == "scaled_bernoulli_minus":
+        return np.where(rng.random(n) < p[1], -p[0], 0.0)
+    if family == "constant":
+        return np.full(n, p[0], dtype=np.float64)
+    raise ValueError(f"unknown family {family!r}")
 
 
 def mom_variance_rows(chunk: np.ndarray, b: int) -> np.ndarray:
@@ -53,6 +83,19 @@ def combined_adaptive_rows(chunk: np.ndarray, m: int) -> np.ndarray:
         b_k = max(2, _ceil_tol(k * _LN2))
         nu2 = mom_variance_rows(chunk, b_k)
         radius = (a * np.sqrt(nu2)) * math.sqrt((1.0 + k * _LN2) / n)
+        los[:, k - 1] = centers - radius
+        his[:, k - 1] = centers + radius
+    return combine_rows(los, his)[0]
+
+
+def combined_fixed_rows(chunk: np.ndarray, m: int, sigma2_hi: float) -> np.ndarray:
+    t, n = chunk.shape
+    scale = 2.0 * math.sqrt(2.0) * math.e * math.sqrt(sigma2_hi)
+    los = np.empty((t, m))
+    his = np.empty((t, m))
+    for k in range(1, m + 1):
+        centers = mom_rows(chunk, _mom_block_count(k))
+        radius = scale * math.sqrt((1.0 + k * _LN2) / n)
         los[:, k - 1] = centers - radius
         his[:, k - 1] = centers + radius
     return combine_rows(los, his)[0]

@@ -1,8 +1,9 @@
 """Bit-for-bit parity of the tiled variance kernels with untiled references.
 
 The kernels in subgauss._batch walk the matrix in row tiles through one
-scratch buffer and compute each block variance once per distinct block
-count; tests/reference.py holds the whole-matrix formulas they replace.
+scratch buffer and compute each centre and block variance once per distinct
+block count; tests/reference.py holds the per-level, whole-matrix formulas
+they replace.
 Every case compares with np.array_equal, so any change in the order of a
 floating-point operation shows up as a failure.
 """
@@ -100,6 +101,17 @@ def test_combined_adaptive_rows_matches_reference(data):
 
 
 @COMMON
+@given(data=st.data())
+def test_combined_fixed_rows_matches_reference(data):
+    m = data.draw(st.integers(1, 12))
+    n, _b = data.draw(layouts(b_min=_batch._mom_block_count(m), b_max=9))
+    x, _layout = data.draw(matrices(n))
+    sigma2_hi = data.draw(st.sampled_from([0.25, 1.0, 1e6]))
+    got = _batch.combined_fixed_rows(x, m, sigma2_hi)
+    assert np.array_equal(got, ref.combined_fixed_rows(x, m, sigma2_hi), equal_nan=True)
+
+
+@COMMON
 @given(
     layout=layouts(),
     t=st.integers(1, 40),
@@ -141,3 +153,21 @@ def test_variance_once_per_distinct_block_count(monkeypatch):
     x = np.random.default_rng(0).standard_normal((3, 64))
     _batch.combined_adaptive_rows(x, 9)
     assert sorted(calls) == [2, 3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("kernel", ["fixed", "adaptive"])
+def test_centers_once_per_distinct_block_count(monkeypatch, kernel):
+    calls = []
+    real = _batch.mom_rows
+
+    def counting(chunk, b):
+        calls.append(b)
+        return real(chunk, b)
+
+    monkeypatch.setattr(_batch, "mom_rows", counting)
+    x = np.random.default_rng(1).standard_normal((3, 64))
+    if kernel == "fixed":
+        _batch.combined_fixed_rows(x, 9, 1.0)
+    else:
+        _batch.combined_adaptive_rows(x, 9)
+    assert sorted(calls) == [1, 2, 3, 4, 5, 6, 7]

@@ -5,6 +5,8 @@ import pytest
 import scipy.special
 import scipy.stats
 
+import reference as ref
+
 from subgauss import (
     DistributionSpec,
     MomentOverflowError,
@@ -177,6 +179,30 @@ def test_sample_is_deterministic():
     assert not np.array_equal(a.values, c.values)
 
 
+@pytest.mark.parametrize(
+    "s",
+    [
+        "gaussian:1.5,2",
+        "laplace:0.5",
+        "poisson:3",
+        "pareto:2.5,1",
+        "pareto:4.5,1e-3",
+        "student:6",
+        "lognormal:0,1",
+        "bern2+:2,0.3",
+        "bern2-:2,0.3",
+        "constant:1.5",
+    ],
+)
+def test_sample_matches_reference_formula_bit_for_bit(s):
+    d = parse_distribution(s)
+    for n in (1, 7, 256, 1001):
+        for seed in (0, 5, 2**63 + 11):
+            got = sample(d, n, seed).values
+            want = ref.draw(d, n, np.random.default_rng(seed))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_sample_constant():
     d = parse_distribution("constant:7")
     s = sample(d, 3, 0)
@@ -336,12 +362,23 @@ def test_spec_rejects_inconsistent_moments():
         "lognormal:800,1",
         "gaussian:1e300,1e300",
         "pareto:3,1e200",
-        "pareto:5,1e100",
     ],
 )
 def test_parse_rejects_overflowing_moments(spec):
     with pytest.raises(MomentOverflowError, match=spec):
         parse_distribution(spec)
+
+
+def test_pareto_kurtosis_is_scale_free():
+    # sigma2 of pareto:5,1e100 is about 2e199; the kurtosis must not
+    # overflow through powers of the scale.
+    big = parse_distribution("pareto:5,1e100")
+    assert math.isfinite(big.sigma2)
+    assert big.kappa == parse_distribution("pareto:5,1").kappa
+    # Unit-scale values, frozen bit for bit.
+    assert parse_distribution("pareto:5,1").kappa == 73.8
+    assert parse_distribution("pareto:6,1").kappa == 38.66666666666611
+    assert parse_distribution("pareto:10.5,1").kappa == 17.099633699630424
 
 
 def test_spec_rejects_non_finite_mean_or_variance():

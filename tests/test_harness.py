@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+import subgauss.harness as harness_module
+from subgauss import _batch
 from subgauss import (
     ExperimentConfig,
     KurtosisConfig,
@@ -232,6 +234,77 @@ class TestTrivialAndFlaggedRows:
         rows = run_tail_experiment(cfg).rows
         assert rows[0].flag == ""
         assert rows[1].flag == "below_delta_min"
+
+
+class TestNonFiniteErrors:
+    def test_overflowing_row_sums_are_flagged(self):
+        # Every row sum of 256 values near 1e308 overflows to inf.
+        dist = parse_distribution("gaussian:1e308,1")
+        for cap in (10_000_000, 7):
+            cfg = ExperimentConfig(dist, "empirical", 256, 50, (0.5, 0.3), seed=12, error_cap=cap)
+            with np.errstate(over="ignore"):
+                rows = run_tail_experiment(cfg).rows
+            for row in rows:
+                assert row.flag.split("+")[-1] == "nonfinite"
+                assert row.exceedance == 1.0
+
+    def test_nan_in_a_trial_left_out_of_the_subsample_still_flags(self, monkeypatch):
+        real = _batch.truncated_pipeline_rows
+        calls = []
+
+        def poisoned(chunk, b_max):
+            vals = real(chunk, b_max)
+            calls.append(chunk.shape[0])
+            if len(calls) == 2:
+                vals[-1] = math.nan  # trial 2099, last of the second chunk
+            return vals
+
+        monkeypatch.setattr(_batch, "truncated_pipeline_rows", poisoned)
+        trials, cap = 2100, 37
+        assert 2099 not in (np.arange(cap) * trials) // cap
+        for error_cap, flag in ((cap, "subsampled_quantile+nonfinite"), (trials, "nonfinite")):
+            calls.clear()
+            cfg = ExperimentConfig(
+                GAUSS, "kurtosis", 2048, trials, (0.3, 0.05), seed=13, error_cap=error_cap
+            )
+            rows = run_tail_experiment(cfg).rows
+            assert calls == [2048, 52]
+            assert [row.flag for row in rows] == [flag, flag]
+
+
+class TestChunkDraws:
+    SPECS = (
+        "gaussian:1.5,2",
+        "laplace:0.5",
+        "poisson:3",
+        "pareto:2.5,1",
+        "student:6",
+        "lognormal:0,1",
+        "bern2+:2,0.3",
+        "bern2-:2,0.3",
+        "constant:1.5",
+    )
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_chunk_rows_equal_one_trial_samples(self, monkeypatch, spec, n):
+        # 4097 trials: a full 4096-row chunk at n=1 and one more row.
+        blocks = []
+        real = harness_module._draw_rows
+
+        def recording(dist, block, rngs):
+            real(dist, block, rngs)
+            blocks.append(block.copy())
+
+        monkeypatch.setattr(harness_module, "_draw_rows", recording)
+        dist = parse_distribution(spec)
+        trials, seed = 4097, 2**40 + 3
+        run_tail_experiment(ExperimentConfig(dist, "empirical", n, trials, (0.5,), seed=seed))
+        rows = np.concatenate(blocks)
+        assert rows.shape == (trials, n)
+        for t in range(trials):
+            want = sample(dist, n, mix_seed(seed, t)).values
+            assert np.array_equal(rows[t].view(np.uint64), want.view(np.uint64))  # every bit
 
 
 class TestSubsampling:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import subgauss.interval_combiner as combiner_module
 from subgauss import (
     ConfidenceInterval,
     IntervalFamily,
@@ -11,6 +12,7 @@ from subgauss import (
     fixed_sigma_family,
     median_of_means,
     mix_seed,
+    mom_variance,
     multiple_delta_estimate,
     parse_distribution,
     quantile_kreg_family,
@@ -174,6 +176,52 @@ class TestAdaptiveFamily:
             miss = 2.0 ** (1 - k)
             slack = 3.0 * math.sqrt(miss * (1.0 - miss) / trials) if miss < 1 else 0.0
             assert covered[k - 1] / trials >= 1.0 - miss - slack, f"k={k}"
+
+
+class TestSharedCenters:
+    """Levels with the same block count share one median-of-means centre."""
+
+    @staticmethod
+    def per_level(values, m, half_width):
+        n = len(values)
+        out = []
+        for k in range(1, m + 1):
+            center = median_of_means(values, 2.0**-k)
+            radius = half_width(k) * math.sqrt((1.0 + k * LN2) / n)
+            out.append((center - radius, center + radius))
+        return out
+
+    def test_families_equal_per_level_construction(self):
+        values = sample(parse_distribution("pareto:3,1"), 777, 11).values
+        m = 9
+        fixed = fixed_sigma_family(values, 2.0, 2.0**-10)
+        scale = 2.0 * math.sqrt(2.0) * math.e * math.sqrt(2.0)
+        assert [(iv.lo, iv.hi) for iv in fixed.intervals] == self.per_level(
+            values, m, lambda k: scale
+        )
+        adaptive = adaptive_family(values, 2.0**-10)
+        a = 2.0 * math.sqrt(2.0) * math.e * 2.0
+        want = self.per_level(
+            values,
+            m,
+            lambda k: a * math.sqrt(mom_variance(values, max(2, math.ceil(k * LN2)))),
+        )
+        assert [(iv.lo, iv.hi) for iv in adaptive.intervals] == want
+
+    @pytest.mark.parametrize("builder", ["fixed_sigma", "adaptive"])
+    def test_one_center_per_distinct_block_count(self, monkeypatch, builder):
+        deltas = []
+        real = combiner_module.median_of_means
+
+        def counting(values, delta):
+            deltas.append(delta)
+            return real(values, delta)
+
+        monkeypatch.setattr(combiner_module, "median_of_means", counting)
+        values = sample(parse_distribution("gaussian:0,1"), 256, 12).values
+        multiple_delta_estimate(values, builder, sigma2_hi=1.0, delta_min=2.0**-10)
+        blocks = sorted(math.ceil(-math.log(d) - 1e-9) for d in deltas)
+        assert blocks == [1, 2, 3, 4, 5, 6, 7]
 
 
 class TestQuantileKregFamily:
