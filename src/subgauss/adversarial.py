@@ -17,7 +17,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import Sample, as_values
-from .seeding import mix_seed
+from .harness import _chunk_bounds
+from .seeding import trial_rngs
+
+# Not called here, but perfbench/spans.py wraps the seeding layer under this
+# name in this module.
+from .seeding import mix_seed  # noqa: F401
 
 __all__ = [
     "CoupledSample",
@@ -81,6 +86,18 @@ def scaled_bernoulli_moment(c: float, p: float, alpha: float) -> float:
     return c ** (1.0 + alpha) * p * (1.0 - p) * (p**alpha + (1.0 - p) ** alpha)
 
 
+def _coupling_hits(p: float, n: int, seed: int, t0: int, t1: int) -> np.ndarray:
+    """Which of the n pairs fire, for trials t0..t1-1: a (t1-t0, n) bool array.
+
+    Row t is ``default_rng(mix_seed(seed, t)).random(n) < p``, the draw of
+    coupled_scaled_bernoulli(c, p, n, mix_seed(seed, t)).
+    """
+    u = np.empty((t1 - t0, n))
+    for row, rng in zip(u, trial_rngs(seed, t0, t1)):
+        rng.random(out=row)
+    return u < p
+
+
 def infvar_stress(
     estimator: Callable[[np.ndarray], float],
     n: int,
@@ -102,6 +119,12 @@ def infvar_stress(
     noise.  That inequality is the mechanism behind minimax lower bounds for
     infinite-variance classes.
 
+    Trial t is coupled_scaled_bernoulli(c, p, n, mix_seed(seed, t)), drawn
+    from ``default_rng(mix_seed(seed, t))``.  The trials are seeded and drawn
+    in chunks, as the harness does, and the estimator is called on x, then
+    y, of trial 0, then of trial 1, and so on; each argument is a read-only
+    float64 array of length n.
+
     Returns (failure_rate_plus, failure_rate_minus, match_rate).  By default
     p = (2/n) ln(2/delta); pass p to explore other couplings.
     """
@@ -113,8 +136,8 @@ def infvar_stress(
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    if M <= 0.0:
-        raise ValueError("M must be > 0")
+    if not (M > 0.0 and math.isfinite(M)):
+        raise ValueError(f"M={M!r} must be finite and > 0")
     log_term = math.log(2.0 / delta)
     if p is None:
         p = (2.0 / n) * log_term
@@ -122,23 +145,35 @@ def infvar_stress(
         raise ValueError(
             f"coupling probability p={p:.6g} outside (0, 1); delta too small for n"
         )
-    c = (M / (p * (1.0 - p) * (p**alpha + (1.0 - p) ** alpha))) ** (1.0 / (1.0 + alpha))
-    radius = (M ** (1.0 / alpha) * log_term / n) ** (alpha / (1.0 + alpha))
+    try:
+        c = (M / (p * (1.0 - p) * (p**alpha + (1.0 - p) ** alpha))) ** (1.0 / (1.0 + alpha))
+        radius = (M ** (1.0 / alpha) * log_term / n) ** (alpha / (1.0 + alpha))
+    except OverflowError as exc:
+        raise ValueError(
+            f"coupling constants overflow a float (M={M:.6g}, alpha={alpha:.6g}, p={p:.6g})"
+        ) from exc
     mean_plus = p * c
+    if not all(map(math.isfinite, (c, mean_plus, radius))):
+        raise ValueError(
+            f"coupling constants are not finite: c={c:.6g}, p*c={mean_plus:.6g}, "
+            f"radius={radius:.6g} (M={M:.6g}, alpha={alpha:.6g}, p={p:.6g})"
+        )
 
     fail_plus = 0
     fail_minus = 0
     match = 0
-    for t in range(trials):
-        cs = coupled_scaled_bernoulli(c, p, n, mix_seed(seed, t))
-        xv = cs.x.values
-        yv = cs.y.values
-        if abs(estimator(xv) - mean_plus) > radius:
-            fail_plus += 1
-        if abs(estimator(yv) + mean_plus) > radius:
-            fail_minus += 1
-        if np.array_equal(xv, yv):
-            match += 1
+    for t0, t1 in _chunk_bounds(trials, n):
+        hits = _coupling_hits(p, n, seed, t0, t1)
+        match += int(np.count_nonzero(~hits.any(axis=1)))
+        xs = np.where(hits, c, 0.0)
+        ys = np.where(hits, -c, 0.0)  # not -xs, which would make the zeros -0.0
+        xs.flags.writeable = False
+        ys.flags.writeable = False
+        for xv, yv in zip(xs, ys):
+            if abs(estimator(xv) - mean_plus) > radius:
+                fail_plus += 1
+            if abs(estimator(yv) + mean_plus) > radius:
+                fail_minus += 1
     return fail_plus / trials, fail_minus / trials, match / trials
 
 

@@ -8,6 +8,7 @@ the same data agree bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,8 +50,13 @@ def _floor_tol(x: float, tol: float = 1e-9) -> int:
     return int(math.floor(x))
 
 
+@functools.lru_cache(maxsize=256)
 def _block_layout(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start offsets and sizes of the contiguous b-block partition of [n]."""
+    """Start offsets and sizes of the contiguous b-block partition of [n].
+
+    Cached, since one-sample calls repeat a few (n, b) pairs; the arrays are
+    shared between callers and therefore read-only.
+    """
     q, r = divmod(n, b)
     first = np.arange(r, dtype=np.intp) * (q + 1)
     rest = r * (q + 1) + np.arange(b - r, dtype=np.intp) * q
@@ -58,6 +64,8 @@ def _block_layout(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     sizes = np.concatenate(
         [np.full(r, q + 1, dtype=np.intp), np.full(b - r, q, dtype=np.intp)]
     )
+    starts.flags.writeable = False
+    sizes.flags.writeable = False
     return starts, sizes
 
 
@@ -166,8 +174,9 @@ def median_of_means(sample, delta: float) -> float:
     lower = math.exp(1.0 - 0.5 * n)
     if not (delta >= lower * (1.0 - 1e-12) and delta < 1.0):
         raise ValueError(f"delta={delta!r} outside the valid range [{lower!r}, 1)")
+    # The delta range keeps b <= n/2, so b needs no check of its own.
     b = max(1, _ceil_tol(-math.log(delta)))
-    return median_of_means_raw(values, b)
+    return quantile_select(_block_means(values, b), 0.5)
 
 
 def pairwise_block_variance(values) -> float:

@@ -265,6 +265,12 @@ def _delta_rows(estimator: str, n: int, trials: int, p: dict, deltas):
     return out
 
 
+def _chunk_bounds(trials: int, n: int) -> list[tuple[int, int]]:
+    """(first, stop) trial ranges of the chunks of about _CHUNK_TARGET values."""
+    step = max(1, min(_MAX_CHUNK_TRIALS, _CHUNK_TARGET // n))
+    return [(t0, min(t0 + step, trials)) for t0 in range(0, trials, step)]
+
+
 def _resolve_l_target(estimator: str, dist: DistributionSpec, n: int, p: dict) -> float:
     """Theoretical constant scored by the experiment, unless overridden."""
     if "l_target" in p:
@@ -340,8 +346,7 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
     kept = min(trials, config.error_cap)
     keep = (np.arange(kept, dtype=np.int64) * trials) // kept if subsampled else None
     store = np.full((kept, nd), np.nan) if ddep else np.empty(kept)
-    step = max(1, min(_MAX_CHUNK_TRIALS, _CHUNK_TARGET // n))
-    bounds = [(t0, min(t0 + step, trials)) for t0 in range(0, trials, step)]
+    bounds = _chunk_bounds(trials, n)
     counts = np.zeros((len(bounds), nd), dtype=np.int64) if subsampled else None
     # Per chunk and delta: whether any trial error is NaN or infinite.
     nonfinite = np.zeros((len(bounds), nd), dtype=bool)

@@ -1,7 +1,8 @@
 """Reference formulas that the optimized code must match bit for bit.
 
 `draw` is the one-expression-per-family sampler that the two-stage
-chunk draw in subgauss.distributions replaces.
+chunk draw in subgauss.distributions replaces, and `infvar_stress` the
+one-trial-at-a-time loop that the chunked stress test replaces.
 
 The rest are untiled reference versions of the variance-based batch
 kernels: the straightforward whole-matrix formulas, where the block means
@@ -25,7 +26,9 @@ from subgauss._batch import (
     combine_rows,
     mom_rows,
 )
+from subgauss.adversarial import coupled_scaled_bernoulli
 from subgauss.core_estimators import _block_layout, _ceil_tol
+from subgauss.seeding import mix_seed
 
 
 def draw(dist, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -52,6 +55,32 @@ def draw(dist, n: int, rng: np.random.Generator) -> np.ndarray:
     if family == "constant":
         return np.full(n, p[0], dtype=np.float64)
     raise ValueError(f"unknown family {family!r}")
+
+
+def infvar_stress(estimator, n, delta, alpha, M, trials, seed, p=None):
+    log_term = math.log(2.0 / delta)
+    if p is None:
+        p = (2.0 / n) * log_term
+    if not 0.0 < p < 1.0:
+        raise ValueError("coupling probability outside (0, 1)")
+    c = (M / (p * (1.0 - p) * (p**alpha + (1.0 - p) ** alpha))) ** (1.0 / (1.0 + alpha))
+    radius = (M ** (1.0 / alpha) * log_term / n) ** (alpha / (1.0 + alpha))
+    mean_plus = p * c
+
+    fail_plus = 0
+    fail_minus = 0
+    match = 0
+    for t in range(trials):
+        cs = coupled_scaled_bernoulli(c, p, n, mix_seed(seed, t))
+        xv = cs.x.values
+        yv = cs.y.values
+        if abs(estimator(xv) - mean_plus) > radius:
+            fail_plus += 1
+        if abs(estimator(yv) + mean_plus) > radius:
+            fail_minus += 1
+        if np.array_equal(xv, yv):
+            match += 1
+    return fail_plus / trials, fail_minus / trials, match / trials
 
 
 def mom_variance_rows(chunk: np.ndarray, b: int) -> np.ndarray:

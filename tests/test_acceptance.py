@@ -7,6 +7,7 @@ at the stated tolerance and cost.
 """
 
 import math
+import os
 import time
 import warnings
 from contextlib import contextmanager
@@ -229,6 +230,7 @@ def test_criterion_07_kurtosis_pipeline_constant():
             (0.01,),
             seed=707,
             params={"kappa_bound": 6.0},
+            threads=os.cpu_count() or 1,
         )
         report_a = run_tail_experiment(cfg_a)
         (row_a,) = report_a.rows
@@ -246,6 +248,7 @@ def test_criterion_07_kurtosis_pipeline_constant():
             (0.01,),
             seed=708,
             params={"kappa_bound": 6.0},
+            threads=os.cpu_count() or 1,
         )
         report_b = run_tail_experiment(cfg_b)
         (row_b,) = report_b.rows

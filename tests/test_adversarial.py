@@ -1,14 +1,20 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference as ref
 from subgauss import (
     CoupledSample,
     Sample,
     coupled_scaled_bernoulli,
     infvar_stress,
     laplace_ratio_floor,
+    median_of_means,
+    median_of_means_raw,
     poisson_point_mass_check,
     scaled_bernoulli_moment,
 )
@@ -151,6 +157,104 @@ class TestInfvarStress:
             infvar_stress(f, 100, 0.05, 2.0, 1.0, 10, 1)
         with pytest.raises(ValueError):
             infvar_stress(f, 100, 0.05, 1.0, -1.0, 10, 1)
+
+    @pytest.mark.parametrize(
+        "alpha, M, p, message",
+        [
+            (1.0, math.nan, None, "M=nan must be finite"),
+            (1.0, math.inf, None, "M=inf must be finite"),
+            (0.5, 1e308, None, "overflow a float"),  # M ** (1/alpha) overflows
+            (1.0, 1.0, 1e-320, "not finite"),  # c = inf
+        ],
+    )
+    def test_non_finite_coupling_rejected(self, alpha, M, p, message):
+        with pytest.raises(ValueError, match=message):
+            infvar_stress(lambda v: 0.0, 100, 0.05, alpha, M, 10, 1, p=p)
+
+
+def _coupling_scale(n, delta, alpha, M, p):
+    if p is None:
+        p = (2.0 / n) * math.log(2.0 / delta)
+    return (M / (p * (1.0 - p) * (p**alpha + (1.0 - p) ** alpha))) ** (1.0 / (1.0 + alpha))
+
+
+class _Recorder:
+    """Estimator that checks every argument it gets and records its bytes.
+
+    Calls must alternate x (values in {0, c}) and y (values in {0, -c}),
+    each a read-only 1-d float64 array of length n.
+    """
+
+    def __init__(self, n, c):
+        self.n = n
+        self.c = c
+        self.calls = []
+
+    def __call__(self, v):
+        assert isinstance(v, np.ndarray)
+        assert v.ndim == 1 and v.dtype == np.float64 and v.size == self.n
+        assert not v.flags.writeable
+        sign = 1.0 if len(self.calls) % 2 == 0 else -1.0
+        assert np.all((v == 0.0) | (v == sign * self.c))
+        self.calls.append(hashlib.blake2b(v, digest_size=16).digest())
+        return float(v[-1])
+
+
+def _estimator(kind, n, c):
+    if kind == "mean":
+        return lambda v: float(np.mean(v))
+    if kind == "mom":
+        if n >= 10:
+            return lambda v: median_of_means(v, 0.02)  # b = 4: the lower median
+        return lambda v: median_of_means_raw(v, min(n, 2))
+    if kind == "constant":
+        return lambda v: 0.125
+    return _Recorder(n, c)
+
+
+def _check_against_reference(kind, n, delta, alpha, M, trials, seed, p=None):
+    c = _coupling_scale(n, delta, alpha, M, p)
+    want_fn = _estimator(kind, n, c)
+    got_fn = _estimator(kind, n, c)
+    try:
+        want = ref.infvar_stress(want_fn, n, delta, alpha, M, trials, seed, p=p)
+    except ValueError:
+        with pytest.raises(ValueError):
+            infvar_stress(got_fn, n, delta, alpha, M, trials, seed, p=p)
+        return
+    got = infvar_stress(got_fn, n, delta, alpha, M, trials, seed, p=p)
+    assert got == want
+    if kind == "record":
+        assert len(got_fn.calls) == 2 * trials
+        assert got_fn.calls == want_fn.calls
+
+
+class TestInfvarStressMatchesLoop:
+    """The chunked stress test equals the one-trial-at-a-time loop exactly."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        kind=st.sampled_from(["mean", "mom", "constant", "record"]),
+        n=st.integers(1, 300),
+        delta=st.floats(1e-3, 0.9),
+        alpha=st.floats(0.05, 1.0),
+        M=st.floats(1e-3, 1e3),
+        p=st.none() | st.floats(1e-4, 0.999),
+        trials=st.integers(1, 40),
+        seed=st.integers(-(2**70), -1) | st.integers(0, 2**32) | st.integers(2**64, 2**70),
+    )
+    def test_random_settings(self, kind, n, delta, alpha, M, p, trials, seed):
+        _check_against_reference(kind, n, delta, alpha, M, trials, seed, p=p)
+
+    @pytest.mark.parametrize("kind", ["mom", "record"])
+    def test_crosses_a_full_chunk(self, kind):
+        # 4096 rows per chunk at n = 100: trial 4096 starts the second chunk
+        _check_against_reference(kind, 100, 0.05, 1.0, 1.0, 4097, -(2**64) - 5)
+
+    @pytest.mark.parametrize("kind", ["mean", "record"])
+    def test_large_n_chunks_of_four(self, kind):
+        # 2^22 values per chunk: 4 rows at n = 2^20, so 6 trials make 2 chunks
+        _check_against_reference(kind, 2**20, 0.05, 0.5, 2.0, 6, 2**64 + 3, p=3e-6)
 
 
 class TestLaplaceRatioFloor:

@@ -365,6 +365,24 @@ class TestAdversary:
         assert run_cli(args) == 1
         assert "delta too small" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "alpha, moment, extra, message",
+        [
+            ("0.5", "1e308", [], "overflow a float"),
+            ("1", "1", ["--p", "1e-320"], "not finite"),
+            ("1", "nan", [], "M=nan must be finite"),
+        ],
+    )
+    def test_non_finite_coupling_is_runtime_error(self, alpha, moment, extra, message, capsys):
+        args = list(self.BASE)
+        args[4] = alpha
+        args[6] = moment
+        assert run_cli(args + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
 
 class TestProbe:
     def test_constant_distribution(self, capsys):

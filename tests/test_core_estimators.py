@@ -16,6 +16,7 @@ from subgauss import (
     quantile_select,
     sample,
 )
+from subgauss.core_estimators import _block_layout
 
 
 class TestPartitionBlocks:
@@ -44,6 +45,29 @@ class TestPartitionBlocks:
             partition_blocks(5, 0)
         with pytest.raises(ValueError):
             partition_blocks(5, 6)
+
+
+class TestBlockLayout:
+    def test_cached_arrays_are_read_only(self):
+        starts, sizes = _block_layout(10, 3)
+        assert _block_layout(10, 3)[0] is starts
+        for arr in (starts, sizes):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 99
+
+    def test_equals_fresh_layout_for_every_remainder(self):
+        for b in range(1, 10):
+            for n in range(b, 3 * b + 1):  # every n mod b, at q = 1, 2, 3
+                q, r = divmod(n, b)
+                want_sizes = np.array([q + 1] * r + [q] * (b - r), dtype=np.intp)
+                want_starts = np.concatenate([[0], np.cumsum(want_sizes)[:-1]])
+                starts, sizes = _block_layout(n, b)
+                fresh = _block_layout.__wrapped__(n, b)
+                for got in ((starts, sizes), fresh):
+                    assert got[0].dtype == got[1].dtype == np.intp
+                    assert np.array_equal(got[0], want_starts)
+                    assert np.array_equal(got[1], want_sizes)
 
 
 class TestQuantileSelect:
@@ -149,6 +173,18 @@ class TestMedianOfMeans:
             median_of_means([1.0, 2.0, 3.0, 4.0], 0.5 * math.exp(-1.0))
         # at the limit b = ceil(1) = 1, the empirical mean
         assert median_of_means([1.0, 2.0, 3.0, 4.0], math.exp(-1.0)) == 2.5
+
+    def test_equals_raw_at_its_block_count(self):
+        # bit for bit, from delta near 1 down to the e^(1 - n/2) floor
+        rng = np.random.default_rng(31)
+        for n in (4, 5, 9, 16, 33, 100):
+            x = rng.standard_t(3, n) * 1e3
+            lower = math.exp(1.0 - 0.5 * n)
+            for delta in (0.9, 0.3, 0.05, 1e-3, 2.0 * lower, lower):
+                if not lower <= delta < 1.0:
+                    continue
+                b = max(1, math.ceil(-math.log(delta) - 1e-9))
+                assert median_of_means(x, delta) == median_of_means_raw(x, b)
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
