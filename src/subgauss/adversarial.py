@@ -59,8 +59,8 @@ def coupled_scaled_bernoulli(c: float, p: float, n: int, seed: int) -> CoupledSa
     The marginals are the two-point laws with means +pc and -pc; the full
     vectors coincide exactly when no pair fires, probability (1-p)^n.
     """
-    if c <= 0.0:
-        raise ValueError("c must be > 0")
+    if not (c > 0.0 and math.isfinite(c)):
+        raise ValueError(f"c={c!r} must be finite and > 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if n < 1:
@@ -77,8 +77,8 @@ def scaled_bernoulli_moment(c: float, p: float, alpha: float) -> float:
     Equals c^(1+alpha) * p * (1-p) * (p^alpha + (1-p)^alpha); the same value
     holds for the mirrored law on {-c, 0}.
     """
-    if c <= 0.0:
-        raise ValueError("c must be > 0")
+    if not (c > 0.0 and math.isfinite(c)):
+        raise ValueError(f"c={c!r} must be finite and > 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if not 0.0 < alpha <= 1.0:

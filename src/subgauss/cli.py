@@ -108,6 +108,8 @@ def _read_values(path: str) -> np.ndarray:
                 values.append(float(text))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
+            if not math.isfinite(values[-1]):
+                raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
     if not values:
         raise ValueError(f"{path}: no numbers found")
     return np.asarray(values, dtype=np.float64)

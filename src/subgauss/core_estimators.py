@@ -147,6 +147,12 @@ def _block_means(values: np.ndarray, b: int) -> np.ndarray:
     return np.add.reduceat(values, starts) / sizes
 
 
+def _mom(values: np.ndarray, b: int) -> float:
+    """Median of the b block means of a validated sample (1 <= b <= n)."""
+    # quantile_select(means, 0.5) takes 0-based rank ceil(b/2) - 1 = (b-1)//2.
+    return float(np.partition(_block_means(values, b), (b - 1) // 2)[(b - 1) // 2])
+
+
 def median_of_means_raw(sample, b: int) -> float:
     """Median of the b block means (explicit block count).
 
@@ -157,7 +163,7 @@ def median_of_means_raw(sample, b: int) -> float:
     values = as_values(sample)
     if b < 1 or b > values.size:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={values.size}")
-    return quantile_select(_block_means(values, b), 0.5)
+    return _mom(values, b)
 
 
 def median_of_means(sample, delta: float) -> float:
@@ -176,7 +182,7 @@ def median_of_means(sample, delta: float) -> float:
         raise ValueError(f"delta={delta!r} outside the valid range [{lower!r}, 1)")
     # The delta range keeps b <= n/2, so b needs no check of its own.
     b = max(1, _ceil_tol(-math.log(delta)))
-    return quantile_select(_block_means(values, b), 0.5)
+    return _mom(values, b)
 
 
 def pairwise_block_variance(values) -> float:
@@ -196,22 +202,37 @@ def pairwise_block_variance(values) -> float:
     return max(ss / (m - 1), 0.0)
 
 
+def _block_variance(values: np.ndarray, b: int) -> float:
+    """mom_variance of a validated sample whose blocks have >= 2 points."""
+    q, r = divmod(values.size, b)
+    split = r * (q + 1)
+    variances = []
+    for blocks in (values[:split].reshape(r, q + 1), values[split:].reshape(b - r, q)):
+        if blocks.size:
+            c = blocks - blocks.mean(axis=1)[:, None]
+            ss = (c[:, None, :] @ c[:, :, None]).reshape(-1)
+            variances.append(np.maximum(ss / (blocks.shape[1] - 1), 0.0))
+    return float(np.partition(np.concatenate(variances), (b - 1) // 2)[(b - 1) // 2])
+
+
 def mom_variance(sample, b: int) -> float:
     """Median of the per-block pairwise variances over a b-block partition.
 
     Concentration target: deviates from sigma^2 by more than
     2e*sqrt(6(kappa+3))*sigma^2*sqrt(b/n) with probability at most e^(-b),
     provided every block has at least 2 points.
+
+    Gather-free: the n mod b blocks of q+1 values and the rest of q values
+    are two reshaped views, centred by their `.mean(axis=1)` (the pairwise
+    sum and divide of a block's `.mean()`) and squared by stacked `c @ c`
+    (the BLAS dot of `centered @ centered`), so every block variance keeps
+    the bits of pairwise_block_variance on that block.
     """
     values = as_values(sample)
     n = values.size
     if b < 1 or n // b < 2:
         raise ValueError(f"every block needs at least 2 points (n={n}, b={b})")
-    part = partition_blocks(n, b)
-    variances = [
-        pairwise_block_variance(values[blk.start : blk.stop]) for blk in part.blocks
-    ]
-    return quantile_select(variances, 0.5)
+    return _block_variance(values, b)
 
 
 def quantile_interval_raw(sample, b: int) -> ConfidenceInterval:

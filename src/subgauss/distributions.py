@@ -90,7 +90,7 @@ def as_values(sample) -> np.ndarray:
     arr = np.asarray(sample, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("expected a nonempty one-dimensional sample")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("sample values must all be finite")
     return arr
 

@@ -10,13 +10,18 @@ on the constant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from ._batch import _mom_block_count, _variance_block_count
-from .core_estimators import (
+# median_of_means and mom_variance are not called here, but perfbench/spans.py
+# wraps the core estimators under these names in this module.
+from .core_estimators import (  # noqa: F401
     ConfidenceInterval,
+    _block_variance,
     _floor_tol,
+    _mom,
     median_of_means,
     mom_variance,
     quantile_interval,
@@ -96,12 +101,23 @@ def _family_depth(delta_min: float, n: int) -> int:
     return m
 
 
-def _level_centers(values, m: int) -> list[float]:
-    """Median-of-means at delta = 2^(-k) for k = 1..m, one call per block count."""
-    # Any level with block count b gives the same centre; keep the last.
-    level_of = {_mom_block_count(k): k for k in range(1, m + 1)}
-    center_of = {b: median_of_means(values, 2.0**-k) for b, k in level_of.items()}
-    return [center_of[_mom_block_count(k)] for k in range(1, m + 1)]
+@functools.lru_cache(maxsize=64)
+def _level_blocks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Centre and variance block counts of levels k = 1..m."""
+    ks = range(1, m + 1)
+    return tuple(map(_mom_block_count, ks)), tuple(map(_variance_block_count, ks))
+
+
+def _centered_family(values, m: int, widths) -> IntervalFamily:
+    """Interval k is the median-of-means at delta = 2^(-k), one pass per block
+    count, plus or minus widths[k-1] * sqrt((1 + k ln 2)/n)."""
+    b_of = _level_blocks(m)[0]
+    center_of = {b: _mom(values, b) for b in set(b_of)}
+    intervals = []
+    for k, (b, width) in enumerate(zip(b_of, widths), start=1):
+        radius = width * math.sqrt((1.0 + k * _LN2) / values.size)
+        intervals.append(ConfidenceInterval(center_of[b] - radius, center_of[b] + radius))
+    return IntervalFamily(tuple(intervals))
 
 
 def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFamily:
@@ -117,11 +133,7 @@ def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFa
         raise ValueError("sigma2_hi must be > 0")
     m = _family_depth(delta_min, n)
     scale = 2.0 * math.sqrt(2.0) * math.e * math.sqrt(sigma2_hi)
-    intervals = []
-    for k, center in enumerate(_level_centers(values, m), start=1):
-        radius = scale * math.sqrt((1.0 + k * _LN2) / n)
-        intervals.append(ConfidenceInterval(center - radius, center + radius))
-    return IntervalFamily(tuple(intervals))
+    return _centered_family(values, m, [scale] * m)
 
 
 def adaptive_family(sample, delta_min: float) -> IntervalFamily:
@@ -134,22 +146,15 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
     values = as_values(sample)
     n = values.size
     m = _family_depth(delta_min, n)
-    b_of = [_variance_block_count(k) for k in range(1, m + 1)]
+    b_of = _level_blocks(m)[1]
     if n // b_of[-1] < 2:
         raise ValueError(
             f"sample too small for the deepest level (n={n}, b_{m}={b_of[-1]})"
         )
     # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
-    nu2_of = {b: mom_variance(values, b) for b in set(b_of)}
-    intervals = []
-    for k, center in enumerate(_level_centers(values, m), start=1):
-        nu2 = nu2_of[b_of[k - 1]]
-        radius = (
-            2.0 * math.sqrt(2.0) * math.e * 2.0 * math.sqrt(nu2)
-            * math.sqrt((1.0 + k * _LN2) / n)
-        )
-        intervals.append(ConfidenceInterval(center - radius, center + radius))
-    return IntervalFamily(tuple(intervals))
+    nu2_of = {b: _block_variance(values, b) for b in set(b_of)}
+    a = 2.0 * math.sqrt(2.0) * math.e * 2.0
+    return _centered_family(values, m, [a * math.sqrt(nu2_of[b]) for b in b_of])
 
 
 def quantile_kreg_family(sample, k_reg: int, delta_min: float | None = None) -> IntervalFamily:

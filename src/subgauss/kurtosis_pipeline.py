@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_estimators import median_of_means_raw, mom_variance
+# median_of_means_raw and mom_variance are not called here, but
+# perfbench/spans.py wraps the core estimators under these names in this module.
+from .core_estimators import _block_variance, _mom, median_of_means_raw, mom_variance  # noqa: F401
 from .distributions import as_values
 
 __all__ = [
@@ -91,10 +93,10 @@ def xi_terms(kappa: float, n: int, b_max: int) -> XiTerms:
 
 
 def _pipeline(values: np.ndarray, b_max: int) -> tuple[float, float, float, float]:
-    """(mu_hat, nu2_hat, R_hat, estimate) shared by the estimator and harness."""
+    """(mu_hat, nu2_hat, R_hat, estimate) of a validated sample, n // b_max >= 2."""
     n = values.size
-    mu_hat = median_of_means_raw(values, b_max)
-    nu2 = mom_variance(values, b_max)
+    mu_hat = _mom(values, b_max)
+    nu2 = _block_variance(values, b_max)
     r_hat = math.sqrt(nu2) * math.sqrt(n / (2.0 * b_max))
     est = float(np.clip(values, mu_hat - r_hat, mu_hat + r_hat).mean())
     return mu_hat, nu2, r_hat, est

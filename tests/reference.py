@@ -4,6 +4,12 @@
 chunk draw in subgauss.distributions replaces, and `infvar_stress` the
 one-trial-at-a-time loop that the chunked stress test replaces.
 
+`mom_variance`, `fixed_sigma_family`, `adaptive_family` and `pipeline` are
+the one-sample formulas that the gather-free block variance and the
+validate-once kernels replace: a Python loop of pairwise_block_variance over
+the blocks, and a median-of-means centre and block variance recomputed for
+every level.
+
 The rest are untiled reference versions of the variance-based batch
 kernels: the straightforward whole-matrix formulas, where the block means
 are gathered back to full row length, the centered squares live in (T, n)
@@ -27,7 +33,16 @@ from subgauss._batch import (
     mom_rows,
 )
 from subgauss.adversarial import coupled_scaled_bernoulli
-from subgauss.core_estimators import _block_layout, _ceil_tol
+from subgauss.core_estimators import (
+    ConfidenceInterval,
+    _block_layout,
+    _ceil_tol,
+    pairwise_block_variance,
+    partition_blocks,
+    quantile_select,
+)
+from subgauss.distributions import as_values
+from subgauss.interval_combiner import IntervalFamily, _family_depth
 from subgauss.seeding import mix_seed
 
 
@@ -128,3 +143,59 @@ def combined_fixed_rows(chunk: np.ndarray, m: int, sigma2_hi: float) -> np.ndarr
         los[:, k - 1] = centers - radius
         his[:, k - 1] = centers + radius
     return combine_rows(los, his)[0]
+
+
+def median_of_means(values: np.ndarray, b: int) -> float:
+    starts, sizes = _block_layout(values.size, b)
+    return quantile_select(np.add.reduceat(values, starts) / sizes, 0.5)
+
+
+def mom_variance(values: np.ndarray, b: int) -> float:
+    part = partition_blocks(values.size, b)
+    variances = [
+        pairwise_block_variance(values[blk.start : blk.stop]) for blk in part.blocks
+    ]
+    return quantile_select(variances, 0.5)
+
+
+def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFamily:
+    values = as_values(sample)
+    n = values.size
+    if not sigma2_hi > 0.0:
+        raise ValueError("sigma2_hi must be > 0")
+    m = _family_depth(delta_min, n)
+    scale = 2.0 * math.sqrt(2.0) * math.e * math.sqrt(sigma2_hi)
+    intervals = []
+    for k in range(1, m + 1):
+        center = median_of_means(values, _mom_block_count(k))
+        radius = scale * math.sqrt((1.0 + k * _LN2) / n)
+        intervals.append(ConfidenceInterval(center - radius, center + radius))
+    return IntervalFamily(tuple(intervals))
+
+
+def adaptive_family(sample, delta_min: float) -> IntervalFamily:
+    values = as_values(sample)
+    n = values.size
+    m = _family_depth(delta_min, n)
+    b_m = max(2, _ceil_tol(m * _LN2))
+    if n // b_m < 2:
+        raise ValueError(f"sample too small for the deepest level (n={n}, b_{m}={b_m})")
+    nu2_of = [mom_variance(values, max(2, _ceil_tol(k * _LN2))) for k in range(1, m + 1)]
+    intervals = []
+    for k in range(1, m + 1):
+        center = median_of_means(values, _mom_block_count(k))
+        radius = (
+            2.0 * math.sqrt(2.0) * math.e * 2.0 * math.sqrt(nu2_of[k - 1])
+            * math.sqrt((1.0 + k * _LN2) / n)
+        )
+        intervals.append(ConfidenceInterval(center - radius, center + radius))
+    return IntervalFamily(tuple(intervals))
+
+
+def pipeline(values: np.ndarray, b_max: int) -> tuple[float, float, float, float]:
+    n = values.size
+    mu_hat = median_of_means(values, b_max)
+    nu2 = mom_variance(values, b_max)
+    r_hat = math.sqrt(nu2) * math.sqrt(n / (2.0 * b_max))
+    est = float(np.clip(values, mu_hat - r_hat, mu_hat + r_hat).mean())
+    return mu_hat, nu2, r_hat, est

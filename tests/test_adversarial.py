@@ -64,6 +64,13 @@ class TestCoupledScaledBernoulli:
         with pytest.raises(ValueError):
             coupled_scaled_bernoulli(1.0, 0.5, 0, 1)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_rejects_non_finite_c(self, c, p):
+        # p = 0 draws no hit, so a NaN c would otherwise give an all-zero pair.
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            coupled_scaled_bernoulli(c, p, 10, 1)
+
 
 class TestCoupledSampleInvariants:
     def test_rejects_non_mirrored(self):
@@ -109,6 +116,11 @@ class TestScaledBernoulliMoment:
             scaled_bernoulli_moment(1.0, 0.5, 1.5)
         with pytest.raises(ValueError):
             scaled_bernoulli_moment(1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_rejects_non_finite_c(self, c):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            scaled_bernoulli_moment(c, 0.5, 1.0)
 
 
 class TestInfvarStress:

@@ -146,6 +146,20 @@ class TestEstimateErrors:
         err = capsys.readouterr().err
         assert "not a number" in err and ":2:" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("estimator", ["empirical", "kurtosis"])
+    def test_non_finite_number(self, tmp_path, capsys, bad, estimator):
+        # kurtosis without --kappa-bound runs the pipeline kernels directly.
+        path = tmp_path / "bad.txt"
+        path.write_text("1\n2\n3\n4\n" + bad + "\n5\n6\n7\n8\n")
+        code = run_cli(
+            ["estimate", "--input", str(path), "--estimator", estimator, "--b-max", "2"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:5: not a finite number: '{bad}'" in captured.err
+
     def test_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("\n\n")

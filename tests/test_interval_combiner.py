@@ -210,18 +210,17 @@ class TestSharedCenters:
 
     @pytest.mark.parametrize("builder", ["fixed_sigma", "adaptive"])
     def test_one_center_per_distinct_block_count(self, monkeypatch, builder):
-        deltas = []
-        real = combiner_module.median_of_means
+        blocks = []
+        real = combiner_module._mom
 
-        def counting(values, delta):
-            deltas.append(delta)
-            return real(values, delta)
+        def counting(values, b):
+            blocks.append(b)
+            return real(values, b)
 
-        monkeypatch.setattr(combiner_module, "median_of_means", counting)
+        monkeypatch.setattr(combiner_module, "_mom", counting)
         values = sample(parse_distribution("gaussian:0,1"), 256, 12).values
         multiple_delta_estimate(values, builder, sigma2_hi=1.0, delta_min=2.0**-10)
-        blocks = sorted(math.ceil(-math.log(d) - 1e-9) for d in deltas)
-        assert blocks == [1, 2, 3, 4, 5, 6, 7]
+        assert sorted(blocks) == [1, 2, 3, 4, 5, 6, 7]
 
 
 class TestQuantileKregFamily:
