@@ -17,8 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import Sample, as_values
-from .harness import _chunk_bounds
-from .seeding import trial_rngs
+from .seeding import chunk_bounds, trial_rngs
 
 # Not called here, but perfbench/spans.py wraps the seeding layer under this
 # name in this module.
@@ -162,7 +161,7 @@ def infvar_stress(
     fail_plus = 0
     fail_minus = 0
     match = 0
-    for t0, t1 in _chunk_bounds(trials, n):
+    for t0, t1 in chunk_bounds(trials, n):
         hits = _coupling_hits(p, n, seed, t0, t1)
         match += int(np.count_nonzero(~hits.any(axis=1)))
         xs = np.where(hits, c, 0.0)

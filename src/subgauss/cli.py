@@ -18,7 +18,7 @@ from .core_estimators import median_of_means, quantile_interval
 from .distributions import MomentOverflowError, parse_distribution, regularity_probe
 from .harness import ESTIMATORS, ExperimentConfig, run_tail_experiment, write_report
 from .interval_combiner import multiple_delta_estimate
-from .kurtosis_pipeline import KurtosisConfig, _pipeline, kurtosis_estimate, xi_terms
+from .kurtosis_pipeline import KurtosisConfig, _check, _pipeline, kurtosis_estimate, xi_terms
 
 __all__ = ["run_cli", "main"]
 
@@ -115,50 +115,46 @@ def _read_values(path: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _kurtosis(values: np.ndarray, args) -> float:
+    if args.kappa_bound is None:
+        _check(values.size, args.b_max)
+        return _pipeline(values, args.b_max)[3]
+    config = KurtosisConfig(b_max=args.b_max, kappa_bound=args.kappa_bound)
+    return kurtosis_estimate(values, config)
+
+
+# estimator -> (flags it requires, its one-sample estimate from the values and flags)
+_ESTIMATES = {
+    "empirical": ((), lambda x, a: float(x.mean())),
+    "mom": (("delta",), lambda x, a: median_of_means(x, a.delta)),
+    "quantile_kreg": (("delta",), lambda x, a: quantile_interval(x, a.delta, a.k_reg).midpoint),
+    "combined_fixed_sigma": (("sigma2_hi", "delta_min"), lambda x, a: multiple_delta_estimate(
+        x, "fixed_sigma", sigma2_hi=a.sigma2_hi, delta_min=a.delta_min
+    )),
+    "combined_adaptive": (("delta_min",), lambda x, a: multiple_delta_estimate(
+        x, "adaptive", delta_min=a.delta_min
+    )),
+    "kurtosis": ((), _kurtosis),
+}
+
+
 def _cmd_estimate(parser: argparse.ArgumentParser, args) -> int:
     values = _read_values(args.input)
     name = args.estimator
-    caught: list[warnings.WarningMessage] = []
-    if name == "empirical":
-        estimate = float(values.mean())
-    elif name == "mom":
-        if args.delta is None:
-            parser.error("estimator 'mom' requires --delta")
-        estimate = median_of_means(values, args.delta)
-    elif name == "quantile_kreg":
-        if args.delta is None:
-            parser.error("estimator 'quantile_kreg' requires --delta")
-        estimate = quantile_interval(values, args.delta, args.k_reg).midpoint
-    elif name == "combined_fixed_sigma":
-        if args.sigma2_hi is None:
-            parser.error("estimator 'combined_fixed_sigma' requires --sigma2-hi")
-        if args.delta_min is None:
-            parser.error("estimator 'combined_fixed_sigma' requires --delta-min")
-        estimate = multiple_delta_estimate(
-            values, "fixed_sigma", sigma2_hi=args.sigma2_hi, delta_min=args.delta_min
-        )
-    elif name == "combined_adaptive":
-        if args.delta_min is None:
-            parser.error("estimator 'combined_adaptive' requires --delta-min")
-        estimate = multiple_delta_estimate(values, "adaptive", delta_min=args.delta_min)
-    else:
-        if args.diagnostics and args.kappa_bound is None:
-            parser.error("--diagnostics with 'kurtosis' requires --kappa-bound")
-        if args.kappa_bound is not None:
-            config = KurtosisConfig(b_max=args.b_max, kappa_bound=args.kappa_bound)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                estimate = kurtosis_estimate(values, config)
-        else:
-            if values.size < 4:
-                raise ValueError("kurtosis estimator needs n >= 4")
-            if values.size // args.b_max < 2:
-                raise ValueError(
-                    f"every block needs at least 2 points (n={values.size}, b_max={args.b_max})"
-                )
-            estimate = _pipeline(values, args.b_max)[3]
+    flags, estimate_of = _ESTIMATES[name]
+    for flag in flags:
+        if getattr(args, flag) is None:
+            parser.error(f"estimator {name!r} requires --{flag.replace('_', '-')}")
+    if name != "kurtosis":
+        print(format(estimate_of(values, args), ".17g"))
+        return 0
+    if args.diagnostics and args.kappa_bound is None:
+        parser.error("--diagnostics with 'kurtosis' requires --kappa-bound")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimate = estimate_of(values, args)
     print(format(estimate, ".17g"))
-    if args.diagnostics and name == "kurtosis":
+    if args.diagnostics:
         terms = xi_terms(args.kappa_bound, values.size, args.b_max)
         print(f"xi = {terms.xi:.17g}")
         print(f"xi1 = {terms.xi1:.17g}")
@@ -199,19 +195,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    if args.estimator == "mom":
-        delta = args.delta
-
-        def fn(arr: np.ndarray) -> float:
-            return median_of_means(arr, delta)
-
-    else:
-
-        def fn(arr: np.ndarray) -> float:
-            return float(arr.mean())
-
+    estimate_of = _ESTIMATES[args.estimator][1]
     fail_plus, fail_minus, match = infvar_stress(
-        fn, args.n, args.delta, args.alpha, args.moment, args.trials, args.seed, p=args.p
+        lambda arr: estimate_of(arr, args),
+        args.n, args.delta, args.alpha, args.moment, args.trials, args.seed, p=args.p,
     )
     print(f"failure_rate_plus = {fail_plus:.17g}")
     print(f"failure_rate_minus = {fail_minus:.17g}")

@@ -166,6 +166,17 @@ def median_of_means_raw(sample, b: int) -> float:
     return _mom(values, b)
 
 
+def _mom_blocks(n: int, delta: float) -> int:
+    """Block count of median_of_means at (n, delta); ValueError outside its range."""
+    if n < 4:
+        raise ValueError("median_of_means needs n >= 4")
+    lower = math.exp(1.0 - 0.5 * n)
+    if not (delta >= lower * (1.0 - 1e-12) and delta < 1.0):
+        raise ValueError(f"delta={delta!r} outside the valid range [{lower!r}, 1)")
+    # The delta range keeps b <= n/2, so b needs no check of its own.
+    return max(1, _ceil_tol(-math.log(delta)))
+
+
 def median_of_means(sample, delta: float) -> float:
     """Median of b = ceil(ln(1/delta)) block means.
 
@@ -174,15 +185,7 @@ def median_of_means(sample, delta: float) -> float:
     the single block degrades gracefully to the empirical mean.
     """
     values = as_values(sample)
-    n = values.size
-    if n < 4:
-        raise ValueError("median_of_means needs n >= 4")
-    lower = math.exp(1.0 - 0.5 * n)
-    if not (delta >= lower * (1.0 - 1e-12) and delta < 1.0):
-        raise ValueError(f"delta={delta!r} outside the valid range [{lower!r}, 1)")
-    # The delta range keeps b <= n/2, so b needs no check of its own.
-    b = max(1, _ceil_tol(-math.log(delta)))
-    return _mom(values, b)
+    return _mom(values, _mom_blocks(values.size, delta))
 
 
 def pairwise_block_variance(values) -> float:
@@ -235,13 +238,40 @@ def mom_variance(sample, b: int) -> float:
     return _block_variance(values, b)
 
 
+def _quartile_interval(values: np.ndarray, b: int) -> ConfidenceInterval:
+    """quantile_interval_raw of a validated sample (1 <= b <= n)."""
+    means = _block_means(values, b)
+    return ConfidenceInterval(quantile_select(means, 0.25), quantile_select(means, 0.75))
+
+
 def quantile_interval_raw(sample, b: int) -> ConfidenceInterval:
     """[1/4-quantile, 3/4-quantile] of the b block means."""
     values = as_values(sample)
     if b < 1 or b > values.size:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={values.size}")
-    means = _block_means(values, b)
-    return ConfidenceInterval(quantile_select(means, 0.25), quantile_select(means, 0.75))
+    return _quartile_interval(values, b)
+
+
+def _kreg_check(n: int, k: int) -> None:
+    """The delta-free preconditions of quantile_interval; ValueError if unmet."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n < _REG_MIN_FACTOR * k * (1.0 - 1e-12):
+        raise ValueError(
+            f"need n >= {_REG_MIN_FACTOR * k:.1f} for regularity index k={k}, got n={n}"
+        )
+
+
+def _kreg_blocks(n: int, delta: float, k: int) -> int:
+    """Block count of quantile_interval at (n, delta, k) once _kreg_check
+    passed; ValueError outside the delta range."""
+    lower = math.exp(3.0 - n / (_REG_RATE * k))
+    if not (delta >= lower * (1.0 - 1e-12) and delta < 1.0):
+        raise ValueError(f"delta={delta!r} outside the valid range [{lower!r}, 1)")
+    b = _ceil_tol(62.0 * (math.log(3.0) - math.log(delta)))
+    if 2 * b * k > n:
+        raise ValueError(f"block count b={b} violates b*k <= n/2 (n={n}, k={k})")
+    return b
 
 
 def quantile_interval(sample, delta: float, k: int) -> ConfidenceInterval:
@@ -253,17 +283,5 @@ def quantile_interval(sample, delta: float, k: int) -> ConfidenceInterval:
     range b*k <= n/2 so each block keeps at least 2k points.
     """
     values = as_values(sample)
-    n = values.size
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < _REG_MIN_FACTOR * k * (1.0 - 1e-12):
-        raise ValueError(
-            f"need n >= {_REG_MIN_FACTOR * k:.1f} for regularity index k={k}, got n={n}"
-        )
-    lower = math.exp(3.0 - n / (_REG_RATE * k))
-    if not (delta >= lower * (1.0 - 1e-12) and delta < 1.0):
-        raise ValueError(f"delta={delta!r} outside the valid range [{lower!r}, 1)")
-    b = _ceil_tol(62.0 * (math.log(3.0) - math.log(delta)))
-    if 2 * b * k > n:
-        raise ValueError(f"block count b={b} violates b*k <= n/2 (n={n}, k={k})")
-    return quantile_interval_raw(values, b)
+    _kreg_check(values.size, k)
+    return _quartile_interval(values, _kreg_blocks(values.size, delta, k))

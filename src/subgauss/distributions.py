@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,33 +96,6 @@ def as_values(sample) -> np.ndarray:
     return arr
 
 
-# Grammar token -> canonical family name.
-_GRAMMAR = {
-    "gaussian": "gaussian",
-    "laplace": "laplace",
-    "poisson": "poisson",
-    "pareto": "pareto",
-    "student": "student_t",
-    "lognormal": "lognormal",
-    "bern2+": "scaled_bernoulli_plus",
-    "bern2-": "scaled_bernoulli_minus",
-    "constant": "constant",
-}
-_TOKEN = {v: k for k, v in _GRAMMAR.items()}
-
-_PARAM_COUNT = {
-    "gaussian": 2,
-    "laplace": 1,
-    "poisson": 1,
-    "pareto": 2,
-    "student_t": 1,
-    "lognormal": 2,
-    "scaled_bernoulli_plus": 2,
-    "scaled_bernoulli_minus": 2,
-    "constant": 1,
-}
-
-
 def _moments_gaussian(mu, sigma):
     if sigma <= 0.0:
         raise ValueError("gaussian needs SIGMA > 0")
@@ -204,19 +178,6 @@ def _moments_constant(c):
     return c, 0.0, 1.0
 
 
-_MOMENTS = {
-    "gaussian": _moments_gaussian,
-    "laplace": _moments_laplace,
-    "poisson": _moments_poisson,
-    "pareto": _moments_pareto,
-    "student_t": _moments_student,
-    "lognormal": _moments_lognormal,
-    "scaled_bernoulli_plus": _moments_bern2_plus,
-    "scaled_bernoulli_minus": _moments_bern2_minus,
-    "constant": _moments_constant,
-}
-
-
 def parse_distribution(spec_string: str) -> DistributionSpec:
     """Parse ``family:p1,p2,...`` into a spec with exact moments filled in.
 
@@ -230,22 +191,20 @@ def parse_distribution(spec_string: str) -> DistributionSpec:
     """
     head, sep, tail = spec_string.partition(":")
     name = head.strip()
-    if not sep or name not in _GRAMMAR:
+    if not sep or name not in _FAMILIES:
         raise ValueError(f"unknown distribution family in {spec_string!r}")
-    family = _GRAMMAR[name]
+    row = _FAMILIES[name]
     try:
         params = tuple(float(tok) for tok in tail.split(","))
     except ValueError:
         raise ValueError(f"malformed parameters in {spec_string!r}") from None
-    if len(params) != _PARAM_COUNT[family]:
-        raise ValueError(
-            f"{name} takes {_PARAM_COUNT[family]} parameter(s), got {len(params)}"
-        )
+    if len(params) != row.param_count:
+        raise ValueError(f"{name} takes {row.param_count} parameter(s), got {len(params)}")
     if not all(math.isfinite(p) for p in params):
         raise ValueError(f"parameters must be finite in {spec_string!r}")
     try:
-        mu, sigma2, kappa = _MOMENTS[family](*params)
-        return DistributionSpec(family, params, mu, sigma2, kappa)
+        mu, sigma2, kappa = row.moments(*params)
+        return DistributionSpec(row.family, params, mu, sigma2, kappa)
     except (OverflowError, MomentOverflowError):
         raise MomentOverflowError(
             f"moments of {spec_string!r} overflow float64"
@@ -324,18 +283,31 @@ def _constant(block, p):
     block.fill(p[0])
 
 
-# family -> (raw fill of one row, in-place transform of the block or None)
-_STAGES = {
-    "gaussian": (_fill_normal, _affine),
-    "laplace": (_fill_laplace, None),
-    "poisson": (_fill_poisson, None),
-    "pareto": (_fill_uniform, _pareto_inverse_cdf),
-    "student_t": (_fill_student, None),
-    "lognormal": (_fill_lognormal, None),
-    "scaled_bernoulli_plus": (_fill_uniform, _bern2_plus),
-    "scaled_bernoulli_minus": (_fill_uniform, _bern2_minus),
-    "constant": (_fill_nothing, _constant),
+class _Family(NamedTuple):
+    family: str  # canonical name, DistributionSpec.family
+    param_count: int
+    moments: Callable  # params -> (mu, sigma2, kappa)
+    fill: Callable  # (row, rng, params): raw fill of one row
+    transform: Callable | None  # (block, params): in place, on every row at once
+
+
+# Grammar token -> the family's name, parameter count, moments and draw.
+_FAMILIES = {
+    "gaussian": _Family("gaussian", 2, _moments_gaussian, _fill_normal, _affine),
+    "laplace": _Family("laplace", 1, _moments_laplace, _fill_laplace, None),
+    "poisson": _Family("poisson", 1, _moments_poisson, _fill_poisson, None),
+    "pareto": _Family("pareto", 2, _moments_pareto, _fill_uniform, _pareto_inverse_cdf),
+    "student": _Family("student_t", 1, _moments_student, _fill_student, None),
+    "lognormal": _Family("lognormal", 2, _moments_lognormal, _fill_lognormal, None),
+    "bern2+": _Family(
+        "scaled_bernoulli_plus", 2, _moments_bern2_plus, _fill_uniform, _bern2_plus
+    ),
+    "bern2-": _Family(
+        "scaled_bernoulli_minus", 2, _moments_bern2_minus, _fill_uniform, _bern2_minus
+    ),
+    "constant": _Family("constant", 1, _moments_constant, _fill_nothing, _constant),
 }
+_TOKEN = {row.family: token for token, row in _FAMILIES.items()}
 
 
 def _draw_rows(dist: DistributionSpec, block: np.ndarray, rngs) -> None:
@@ -344,15 +316,14 @@ def _draw_rows(dist: DistributionSpec, block: np.ndarray, rngs) -> None:
     Row i receives exactly ``_draw(dist, block.shape[1], rng_i)`` for the
     i-th Generator of the iterable rngs.
     """
-    stages = _STAGES.get(dist.family)
-    if stages is None:
+    if dist.family not in _TOKEN:
         raise ValueError(f"unknown family {dist.family!r}")
-    fill, transform = stages
+    family = _FAMILIES[_TOKEN[dist.family]]
     p = dist.params
     for row, rng in zip(block, rngs):
-        fill(row, rng, p)
-    if transform is not None:
-        transform(block, p)
+        family.fill(row, rng, p)
+    if family.transform is not None:
+        family.transform(block, p)
 
 
 def _draw(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,6 +18,7 @@ stream of ``np.random.default_rng(mix_seed(seed, t))``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -28,16 +29,18 @@ import numpy as np
 
 from . import _batch
 from ._version import __version__
-from .core_estimators import _REG_MIN_FACTOR, _REG_RATE, _ceil_tol
+from .core_estimators import _ceil_tol, _kreg_blocks, _kreg_check, _mom_blocks
 from .distributions import DistributionSpec, _draw_rows, format_distribution
-from .interval_combiner import _family_depth
-from .kurtosis_pipeline import xi_terms
-from .seeding import trial_rngs
+from .interval_combiner import _adaptive_depth, _family_depth
+from .kurtosis_pipeline import _check as _kurtosis_check
+from .kurtosis_pipeline import delta_floor, xi_terms
+from .seeding import chunk_bounds, trial_rngs
 
 # Not called here, but perfbench/spans.py wraps the one-trial draw and
-# seeding layers under these names in this module.
+# seeding layers under these names in this module, and reads the chunk
+# layout constants from it.
 from .distributions import _draw  # noqa: F401
-from .seeding import mix_seed  # noqa: F401
+from .seeding import _CHUNK_TARGET, _MAX_CHUNK_TRIALS, mix_seed  # noqa: F401
 
 __all__ = [
     "ESTIMATORS",
@@ -66,10 +69,6 @@ ESTIMATORS = (
 DELTA_DEPENDENT = frozenset({"mom", "quantile_kreg"})
 
 _LN2 = math.log(2.0)
-# Floats generated per chunk; fixed so the chunk layout (and therefore every
-# aggregate) is independent of thread count.
-_CHUNK_TARGET = 1 << 22
-_MAX_CHUNK_TRIALS = 4096
 _CSV_HEADER = "delta,radius,exceedance,quantile_error,l_hat"
 # Config echo keys that may differ between equivalent runs; kept in the
 # in-memory report, excluded from serialized files.
@@ -180,10 +179,7 @@ def _resolve_params(estimator: str, dist: DistributionSpec, raw: dict) -> dict:
     elif estimator == "combined_adaptive":
         out["delta_min"] = float(raw.get("delta_min", 2.0**-10))
     elif estimator == "kurtosis":
-        b_max = int(raw.get("b_max", 8))
-        if b_max < 1:
-            raise ValueError("b_max must be >= 1")
-        out["b_max"] = b_max
+        out["b_max"] = int(raw.get("b_max", 8))
         kappa = float(raw.get("kappa_bound", dist.kappa))
         if not kappa >= 1.0:  # also rejects NaN
             raise ValueError("kappa_bound must be >= 1")
@@ -196,110 +192,60 @@ def _resolve_params(estimator: str, dist: DistributionSpec, raw: dict) -> dict:
     return dict(sorted(out.items()))
 
 
-def _check_global(estimator: str, n: int, p: dict) -> dict:
-    """Raise on preconditions that no delta can satisfy; return aux values."""
-    if estimator == "mom" and n < 4:
-        raise ValueError("median-of-means needs n >= 4")
-    if estimator == "quantile_kreg":
-        k = p["k_reg"]
-        if n < _REG_MIN_FACTOR * k * (1.0 - 1e-12):
-            raise ValueError(
-                f"need n >= {_REG_MIN_FACTOR * k:.1f} for regularity index k={k}, got n={n}"
-            )
-    if estimator in ("combined_fixed_sigma", "combined_adaptive"):
-        if n < 4:
-            raise ValueError("combined families need n >= 4")
-        m = _family_depth(p["delta_min"], n)
-        if estimator == "combined_adaptive":
-            b_m = max(2, _ceil_tol(m * _LN2))
-            if n // b_m < 2:
-                raise ValueError(
-                    f"sample too small for the deepest level (n={n}, b_{m}={b_m})"
-                )
-        return {"m": m}
-    if estimator == "kurtosis":
-        if n < 4:
-            raise ValueError("kurtosis pipeline needs n >= 4")
-        if n // p["b_max"] < 2:
-            raise ValueError(
-                f"every block needs at least 2 points (n={n}, b_max={p['b_max']})"
-            )
-    return {}
+def _kernel(name: str, *args):
+    """Chunk (and block count) -> estimates by _batch.<name>, looked up at
+    call time so that a wrapped kernel is the one called."""
+    return lambda mat, *b: getattr(_batch, name)(mat, *b, *args)
 
 
-def _delta_rows(estimator: str, n: int, trials: int, p: dict, deltas):
-    """Per delta: (valid, base flags, block count for delta-dependent kernels)."""
-    out = []
-    for d in deltas:
-        valid = True
-        flags: list[str] = []
-        b = None
-        if estimator == "mom":
-            lower = math.exp(1.0 - 0.5 * n)
-            if d >= lower * (1.0 - 1e-12):
-                b = max(1, _ceil_tol(-math.log(d)))
-            else:
-                valid = False
-        elif estimator == "quantile_kreg":
-            k = p["k_reg"]
-            lower = math.exp(3.0 - n / (_REG_RATE * k))
-            if d >= lower * (1.0 - 1e-12):
-                b = _ceil_tol(62.0 * (math.log(3.0) - math.log(d)))
-                if 2 * b * k > n:
-                    valid = False
-                    b = None
-            else:
-                valid = False
-        elif estimator in ("combined_fixed_sigma", "combined_adaptive"):
-            if d < p["delta_min"] * (1.0 - 1e-12):
-                flags.append("below_delta_min")
-        elif estimator == "kurtosis":
-            dmin = (4.0 * math.e / (math.e - 2.0)) * math.exp(-p["b_max"])
-            if d < dmin * (1.0 - 1e-12):
-                flags.append("below_delta_min")
-        if not valid:
-            flags = ["invalid_delta"]
-        elif d * trials < 10.0:
-            flags.append("undersampled")
-        out.append((valid, flags, b))
-    return out
+def _plan(estimator: str, dist: DistributionSpec, n: int, p: dict):
+    """(kernel, blocks, floor, l_target) of an experiment; raises on
+    preconditions that no delta can satisfy.
 
-
-def _chunk_bounds(trials: int, n: int) -> list[tuple[int, int]]:
-    """(first, stop) trial ranges of the chunks of about _CHUNK_TARGET values."""
-    step = max(1, min(_MAX_CHUNK_TRIALS, _CHUNK_TARGET // n))
-    return [(t0, min(t0 + step, trials)) for t0 in range(0, trials, step)]
-
-
-def _resolve_l_target(estimator: str, dist: DistributionSpec, n: int, p: dict) -> float:
-    """Theoretical constant scored by the experiment, unless overridden."""
-    if "l_target" in p:
-        return p["l_target"]
+    kernel maps a (trials, n) chunk to one estimate per row.  The
+    delta-dependent estimators also pass it the block count blocks(delta)
+    returns, and a ValueError from blocks marks that delta invalid.  Rows with
+    delta below floor lie outside the stated guarantee.  l_target is the
+    theoretical constant the experiment scores.  Every validity rule is the
+    one-sample estimator's own.
+    """
     if estimator == "empirical":
         # Gaussian-limit constant: sqrt(2) makes the CLT tail exactly delta/e.
-        return math.sqrt(2.0)
+        return (lambda mat: mat.mean(axis=1)), None, 0.0, math.sqrt(2.0)
     if estimator == "mom":
-        return 2.0 * math.sqrt(2.0) * math.e
+        _mom_blocks(n, 0.5)  # n < 4 fails at every delta: raise it once
+        l_target = 2.0 * math.sqrt(2.0) * math.e
+        return _kernel("mom_rows"), functools.partial(_mom_blocks, n), 0.0, l_target
     if estimator == "quantile_kreg":
+        k = p["k_reg"]
+        _kreg_check(n, k)
         d = 0.25 * math.log(0.75) + 0.75 * math.log(1.125)
         l0 = 2.0 * math.exp(2.0 * d + 0.5)
         # From midpoint error <= L0*sigma*sqrt(2b/n) and
         # b <= (1 + 62 ln 3)(1 + ln(1/delta)), with a sqrt(k) allowance for
         # the block-size floor at regularity index k.
-        return l0 * math.sqrt(2.0 * p["k_reg"] * (1.0 + 62.0 * math.log(3.0)))
+        l_target = l0 * math.sqrt(2.0 * k * (1.0 + 62.0 * math.log(3.0)))
+        return _kernel("kreg_midpoint_rows"), lambda delta: _kreg_blocks(n, delta, k), 0.0, l_target
     if estimator == "combined_fixed_sigma":
-        base = 4.0 * math.sqrt(2.0) * math.e * math.sqrt(1.0 + 2.0 * _LN2)
+        m = _family_depth(p["delta_min"], n)
+        l_target = 0.0
         if dist.sigma2 > 0.0:
-            return base * math.sqrt(p["sigma2_hi"] / dist.sigma2)
-        return 0.0
+            base = 4.0 * math.sqrt(2.0) * math.e * math.sqrt(1.0 + 2.0 * _LN2)
+            l_target = base * math.sqrt(p["sigma2_hi"] / dist.sigma2)
+        kernel = _kernel("combined_fixed_rows", m, p["sigma2_hi"])
+        return kernel, None, p["delta_min"], l_target
     if estimator == "combined_adaptive":
+        m = _adaptive_depth(n, p["delta_min"])
         # On the good event the variance estimate stays below 1.5 sigma^2,
         # so the data-driven radius is at most 8 sqrt(3) e sigma sqrt(...).
-        return 8.0 * math.sqrt(3.0) * math.e * math.sqrt(1.0 + 2.0 * _LN2)
-    kappa = p["kappa_bound"]
-    if not math.isfinite(kappa):
-        return math.inf
-    return math.sqrt(2.0) * (1.0 + xi_terms(kappa, n, p["b_max"]).xi)
+        l_target = 8.0 * math.sqrt(3.0) * math.e * math.sqrt(1.0 + 2.0 * _LN2)
+        return _kernel("combined_adaptive_rows", m), None, p["delta_min"], l_target
+    b_max, kappa = p["b_max"], p["kappa_bound"]
+    _kurtosis_check(n, b_max)
+    l_target = math.inf
+    if math.isfinite(kappa):
+        l_target = math.sqrt(2.0) * (1.0 + xi_terms(kappa, n, b_max).xi)
+    return _kernel("truncated_pipeline_rows", b_max), None, delta_floor(b_max), l_target
 
 
 def run_tail_experiment(config: ExperimentConfig) -> TailReport:
@@ -328,9 +274,20 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
     deltas = config.deltas
     _validate_deltas(deltas)
     p = _resolve_params(estimator, dist, config.params)
-    aux = _check_global(estimator, n, p)
-    rowinfo = _delta_rows(estimator, n, trials, p, deltas)
-    l_target = _resolve_l_target(estimator, dist, n, p)
+    kernel, blocks, floor, l_target = _plan(estimator, dist, n, p)
+    l_target = p.get("l_target", l_target)
+    # Per delta: (valid, base flags, block count of a delta-dependent kernel).
+    rowinfo = []
+    for d in deltas:
+        try:
+            b = None if blocks is None else blocks(d)
+        except ValueError:
+            rowinfo.append((False, ["invalid_delta"], None))
+            continue
+        flags = ["below_delta_min"] if d < floor * (1.0 - 1e-12) else []
+        if d * trials < 10.0:
+            flags.append("undersampled")
+        rowinfo.append((True, flags, b))
     sigma = math.sqrt(dist.sigma2)
     mu = dist.mu
     nd = len(deltas)
@@ -340,17 +297,16 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
         [l_target * denom[j] if rowinfo[j][0] else math.nan for j in range(nd)]
     )
 
-    ddep = estimator in DELTA_DEPENDENT
+    ddep = blocks is not None
     specs = [(j, rowinfo[j][2]) for j in range(nd) if ddep and rowinfo[j][0]]
     subsampled = trials > config.error_cap
     kept = min(trials, config.error_cap)
     keep = (np.arange(kept, dtype=np.int64) * trials) // kept if subsampled else None
     store = np.full((kept, nd), np.nan) if ddep else np.empty(kept)
-    bounds = _chunk_bounds(trials, n)
+    bounds = chunk_bounds(trials, n)
     counts = np.zeros((len(bounds), nd), dtype=np.int64) if subsampled else None
     # Per chunk and delta: whether any trial error is NaN or infinite.
     nonfinite = np.zeros((len(bounds), nd), dtype=bool)
-    m_depth = aux.get("m")
 
     def run_chunk(ci: int) -> None:
         t0, t1 = bounds[ci]
@@ -360,21 +316,9 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
         if ddep:
             out = np.full((c, nd), np.nan)
             for j, b in specs:
-                if estimator == "mom":
-                    vals = _batch.mom_rows(mat, b)
-                else:
-                    vals = _batch.kreg_midpoint_rows(mat, b)
-                out[:, j] = np.abs(vals - mu)
+                out[:, j] = np.abs(kernel(mat, b) - mu)
         else:
-            if estimator == "empirical":
-                vals = mat.mean(axis=1)
-            elif estimator == "combined_fixed_sigma":
-                vals = _batch.combined_fixed_rows(mat, m_depth, p["sigma2_hi"])
-            elif estimator == "combined_adaptive":
-                vals = _batch.combined_adaptive_rows(mat, m_depth)
-            else:
-                vals = _batch.truncated_pipeline_rows(mat, p["b_max"])
-            out = np.abs(vals - mu)
+            out = np.abs(kernel(mat) - mu)
         finite = np.isfinite(out)
         nonfinite[ci] = ~(finite.all(axis=0) if ddep else finite.all())
         if not subsampled:

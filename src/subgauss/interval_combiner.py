@@ -15,13 +15,17 @@ import math
 from dataclasses import dataclass
 
 from ._batch import _mom_block_count, _variance_block_count
-# median_of_means and mom_variance are not called here, but perfbench/spans.py
-# wraps the core estimators under these names in this module.
+# median_of_means, mom_variance and quantile_interval are not called here, but
+# perfbench/spans.py wraps the core estimators under these names in this module.
 from .core_estimators import (  # noqa: F401
+    _REG_RATE,
     ConfidenceInterval,
     _block_variance,
     _floor_tol,
+    _kreg_blocks,
+    _kreg_check,
     _mom,
+    _quartile_interval,
     median_of_means,
     mom_variance,
     quantile_interval,
@@ -108,6 +112,16 @@ def _level_blocks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(map(_mom_block_count, ks)), tuple(map(_variance_block_count, ks))
 
 
+def _adaptive_depth(n: int, delta_min: float) -> int:
+    """Depth m of adaptive_family at (n, delta_min); ValueError when a level's
+    variance blocks would hold fewer than 2 points."""
+    m = _family_depth(delta_min, n)
+    b_m = _level_blocks(m)[1][-1]
+    if n // b_m < 2:
+        raise ValueError(f"sample too small for the deepest level (n={n}, b_{m}={b_m})")
+    return m
+
+
 def _centered_family(values, m: int, widths) -> IntervalFamily:
     """Interval k is the median-of-means at delta = 2^(-k), one pass per block
     count, plus or minus widths[k-1] * sqrt((1 + k ln 2)/n)."""
@@ -144,13 +158,8 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
     variance knowledge is required.
     """
     values = as_values(sample)
-    n = values.size
-    m = _family_depth(delta_min, n)
+    m = _adaptive_depth(values.size, delta_min)
     b_of = _level_blocks(m)[1]
-    if n // b_of[-1] < 2:
-        raise ValueError(
-            f"sample too small for the deepest level (n={n}, b_{m}={b_of[-1]})"
-        )
     # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
     nu2_of = {b: _block_variance(values, b) for b in set(b_of)}
     a = 2.0 * math.sqrt(2.0) * math.e * 2.0
@@ -166,14 +175,15 @@ def quantile_kreg_family(sample, k_reg: int, delta_min: float | None = None) -> 
     values = as_values(sample)
     n = values.size
     if delta_min is None:
-        delta_min = 4.0 * math.exp(3.0 - n / (124.0 * k_reg))
+        delta_min = 4.0 * math.exp(3.0 - n / (_REG_RATE * k_reg))
         if not delta_min < 0.25:
             raise ValueError(
                 f"n={n} too small for a dyadic quartile family at k={k_reg}"
             )
     m = _family_depth(delta_min, n)
+    _kreg_check(n, k_reg)
     intervals = tuple(
-        quantile_interval(values, 2.0**-k, k_reg) for k in range(1, m + 1)
+        _quartile_interval(values, _kreg_blocks(n, 2.0**-k, k_reg)) for k in range(1, m + 1)
     )
     return IntervalFamily(intervals)
 

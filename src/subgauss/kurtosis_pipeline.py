@@ -34,7 +34,8 @@ __all__ = [
 class KurtosisConfig:
     """Block budget and kurtosis bound for the truncation pipeline.
 
-    The smallest guaranteed confidence level is (4e/(e-2)) * e^(-b_max).
+    The smallest guaranteed confidence level is delta_floor(b_max) =
+    (4e/(e-2)) * e^(-b_max).
     """
 
     b_max: int
@@ -92,6 +93,22 @@ def xi_terms(kappa: float, n: int, b_max: int) -> XiTerms:
     return XiTerms(xi=xi1 + xi2, xi1=xi1, xi2=xi2)
 
 
+def delta_floor(b_max: int) -> float:
+    """Smallest confidence level the pipeline's guarantee covers:
+    (4e/(e-2)) * e^(-b_max)."""
+    return (4.0 * math.e / (math.e - 2.0)) * math.exp(-b_max)
+
+
+def _check(n: int, b_max: int) -> None:
+    """The pipeline's preconditions on (n, b_max); ValueError if unmet."""
+    if b_max < 1:
+        raise ValueError("b_max must be >= 1")
+    if n < 4:
+        raise ValueError("kurtosis_estimate needs n >= 4")
+    if n // b_max < 2:
+        raise ValueError(f"every block needs at least 2 points (n={n}, b_max={b_max})")
+
+
 def _pipeline(values: np.ndarray, b_max: int) -> tuple[float, float, float, float]:
     """(mu_hat, nu2_hat, R_hat, estimate) of a validated sample, n // b_max >= 2."""
     n = values.size
@@ -111,7 +128,7 @@ def kurtosis_estimate(sample, config: KurtosisConfig) -> float:
     to [mu_hat - R_hat, mu_hat + R_hat].
 
     Guarantee target: P(|est - mu| > sqrt(2)(1+xi) sigma sqrt((1+ln(1/delta))/n))
-    <= delta for delta >= (4e/(e-2)) e^(-b_max), under kurtosis <= kappa_bound.
+    <= delta for delta >= delta_floor(b_max), under kurtosis <= kappa_bound.
 
     Emits RuntimeWarnings (never errors) when the bound's smallness
     conditions fail at this (n, b_max, kappa_bound); constant data yields a
@@ -120,10 +137,7 @@ def kurtosis_estimate(sample, config: KurtosisConfig) -> float:
     values = as_values(sample)
     n = values.size
     b = config.b_max
-    if n < 4:
-        raise ValueError("kurtosis_estimate needs n >= 4")
-    if n // b < 2:
-        raise ValueError(f"every block needs at least 2 points (n={n}, b_max={b})")
+    _check(n, b)
     kappa = config.kappa_bound
 
     cond = 96.0 * math.e * (kappa + 3.0) * b / n

@@ -5,6 +5,7 @@ Trial t of a run with master seed m draws from
 Generators for a whole range of trials at once: it evaluates splitmix64
 and numpy's SeedSequence hashing over arrays and hands each resulting PCG64
 state to numpy, so the streams are the same ones, bit for bit.
+`chunk_bounds` fixes which trials are seeded and drawn together.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["mix_seed", "trial_rngs"]
+
+# Floats generated per chunk of trials; fixed so the chunk layout (and
+# therefore every aggregate over chunks) is independent of thread count.
+_CHUNK_TARGET = 1 << 22
+_MAX_CHUNK_TRIALS = 4096
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -143,3 +149,9 @@ def trial_rngs(master: int, start: int, stop: int):
     states = _pcg64_states(_mix_seeds(master, start, stop))
     for words in states:
         yield np.random.Generator(np.random.PCG64(_FixedState(words)))
+
+
+def chunk_bounds(trials: int, n: int) -> list[tuple[int, int]]:
+    """(first, stop) trial ranges of the chunks of about _CHUNK_TARGET values."""
+    step = max(1, min(_MAX_CHUNK_TRIALS, _CHUNK_TARGET // n))
+    return [(t0, min(t0 + step, trials)) for t0 in range(0, trials, step)]

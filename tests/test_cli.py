@@ -207,6 +207,18 @@ class TestEstimateErrors:
         assert code == 1
         assert "at least 2 points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("b_max", ["0", "-1"])
+    @pytest.mark.parametrize("kappa", [[], ["--kappa-bound", "3"]])
+    def test_kurtosis_b_max_below_one(self, tmp_path, capsys, b_max, kappa):
+        path = write_numbers(tmp_path, [float(i) for i in range(5)])
+        code = run_cli(
+            ["estimate", "--input", path, "--estimator", "kurtosis", "--b-max", b_max] + kappa
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "b_max must be >= 1" in captured.err
+
     def test_mom_runtime_error_small_sample(self, tmp_path, capsys):
         path = write_numbers(tmp_path, [1.0, 2.0, 3.0])
         code = run_cli(["estimate", "--input", path, "--estimator", "mom", "--delta", "0.1"])

@@ -610,3 +610,14 @@ class TestMomTailBound:
         a = run_tail_experiment(base).rows[0].l_hat
         b = run_tail_experiment(double).rows[0].l_hat
         assert abs(b - a) < 0.10 * a
+
+
+def test_delta_dependent_estimators_are_the_ones_planned_per_delta():
+    dist = parse_distribution("gaussian:0,1")
+    planned = set()
+    for estimator in harness_module.ESTIMATORS:
+        raw = {"sigma2_hi": 1.0} if estimator == "combined_fixed_sigma" else {}
+        p = harness_module._resolve_params(estimator, dist, raw)
+        if harness_module._plan(estimator, dist, 600, p)[1] is not None:
+            planned.add(estimator)
+    assert planned == harness_module.DELTA_DEPENDENT

@@ -15,6 +15,7 @@ from subgauss import (
     mom_variance,
     multiple_delta_estimate,
     parse_distribution,
+    quantile_interval,
     quantile_kreg_family,
     sample,
 )
@@ -238,6 +239,26 @@ class TestQuantileKregFamily:
         s = sample(parse_distribution("laplace:0"), 700, 9)
         with pytest.raises(ValueError):
             quantile_kreg_family(s, 1)
+
+    @pytest.mark.parametrize(
+        "n, k_reg", [(1000, 1), (2053, 1), (4099, 2), (10_000, 1), (10_000, 3)]
+    )
+    def test_levels_equal_quantile_interval(self, n, k_reg):
+        values = sample(parse_distribution("lognormal:0,1"), n, n + k_reg).values
+        family = quantile_kreg_family(values, k_reg)
+        want = [quantile_interval(values, 2.0**-k, k_reg) for k in range(1, family.m + 1)]
+        assert [(iv.lo.hex(), iv.hi.hex()) for iv in family.intervals] == [
+            (iv.lo.hex(), iv.hi.hex()) for iv in want
+        ]
+
+    def test_invalid_level_fails_like_quantile_interval(self):
+        values = sample(parse_distribution("laplace:0"), 1000, 10).values
+        # Level 8 (delta = 2^-8) lies below quantile_interval's range at n=1000.
+        with pytest.raises(ValueError) as family_error:
+            quantile_kreg_family(values, 1, delta_min=2.0**-12)
+        with pytest.raises(ValueError) as level_error:
+            quantile_interval(values, 2.0**-8, 1)
+        assert str(family_error.value) == str(level_error.value)
 
 
 class TestMultipleDeltaEstimate:

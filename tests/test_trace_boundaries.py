@@ -8,6 +8,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from subgauss import ExperimentConfig, _batch, harness, parse_distribution, run_tail_experiment
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -28,3 +32,37 @@ def test_every_boundary_attribute_resolves():
             first = getattr(module, attr) if first is None else first
             assert getattr(module, attr) is first, f"{name}: subgauss.{mod_name}.{attr}"
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "estimator, kernel, params",
+    [
+        ("mom", "mom_rows", {}),
+        ("quantile_kreg", "kreg_midpoint_rows", {}),
+        ("combined_fixed_sigma", "combined_fixed_rows", {"sigma2_hi": 2.0}),
+        ("combined_adaptive", "combined_adaptive_rows", {}),
+        ("kurtosis", "truncated_pipeline_rows", {}),
+    ],
+)
+def test_experiment_calls_the_batch_kernel_by_name(monkeypatch, estimator, kernel, params):
+    # The tracer rebinds _batch.<kernel>; a kernel bound elsewhere before the
+    # run would bypass the wrapper and its spans would read zero.
+    calls = []
+    real = getattr(_batch, kernel)
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(_batch, kernel, counting)
+    config = ExperimentConfig(
+        parse_distribution("gaussian:0,1"), estimator, 600, 3, (0.5,), seed=1, params=params
+    )
+    run_tail_experiment(config)
+    assert calls
+
+
+def test_chunk_layout_constants_resolve_on_harness():
+    # perfbench reads these with getattr and records None when they are missing.
+    assert isinstance(getattr(harness, "_CHUNK_TARGET", None), int)
+    assert isinstance(getattr(harness, "_MAX_CHUNK_TRIALS", None), int)
