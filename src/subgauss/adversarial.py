@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import Sample, as_values
 from .seeding import chunk_bounds, trial_rngs
@@ -203,5 +202,5 @@ def poisson_point_mass_check(m: int) -> bool:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    log_pmf = -m + m * math.log(m) - float(gammaln(m + 1))
+    log_pmf = -m + m * math.log(m) - math.lgamma(m + 1)
     return bool(math.exp(log_pmf) >= 0.25 / math.sqrt(m))

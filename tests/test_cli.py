@@ -1,7 +1,10 @@
 import math
+import os
 import shutil
 import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,3 +467,27 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout == "2\n"
+
+    def test_cold_start_imports_no_scipy(self, tmp_path):
+        # A one-shot CLI call pays for every module the package imports.
+        values = np.random.default_rng(43).normal(size=64)
+        path = write_numbers(tmp_path, values.tolist())
+        script = (
+            "import sys\n"
+            "import subgauss\n"
+            "code = subgauss.run_cli(['estimate', '--input', sys.argv[1],"
+            " '--estimator', 'mom', '--delta', '0.05'])\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')),"
+            " file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, path],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        float(proc.stdout)
+        assert proc.stderr.splitlines()[-1] == "[]"
