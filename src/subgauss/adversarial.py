@@ -197,10 +197,16 @@ def laplace_ratio_floor(lam: float, n: int, points) -> bool:
 def poisson_point_mass_check(m: int) -> bool:
     """Check Poisson(m) puts mass at least 1/(4 sqrt(m)) on the point m.
 
-    Uses the log-gamma form of the pmf; by Stirling the true mass is
-    ~ 1/sqrt(2 pi m), comfortably above the floor for every m >= 1.
+    The log pmf -m + m ln m - ln m! is evaluated in Stirling's form
+    -ln(2 pi m)/2 - r(m) with r(m) = 1/(12m) - 1/(360m^3) + 1/(1260m^5)
+    - 1/(1680m^7), whose truncation error is below 1/(1188m^9) (under 1e-3
+    at m = 1).  The direct form cancels: at m ~ 1e15 its rounding error is
+    several nats, against a margin of ln(0.399/0.25) ~ 0.47 nats.  The true
+    mass is ~ 1/sqrt(2 pi m), comfortably above the floor for every m >= 1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    log_pmf = -m + m * math.log(m) - math.lgamma(m + 1)
+    inv = 1.0 / m
+    remainder = inv / 12.0 - inv**3 / 360.0 + inv**5 / 1260.0 - inv**7 / 1680.0
+    log_pmf = -0.5 * math.log(2.0 * math.pi * m) - remainder
     return bool(math.exp(log_pmf) >= 0.25 / math.sqrt(m))

@@ -308,6 +308,11 @@ class TestPoissonPointMass:
     def test_first_thousand(self):
         assert all(poisson_point_mass_check(m) for m in range(1, 1001))
 
+    @pytest.mark.parametrize("m", [3 * 10**14, 7 * 10**14, 10**15, 3 * 10**15, 10**18])
+    def test_large_m(self, m):
+        # -m + m ln m - lgamma(m + 1) cancels to several nats of error here
+        assert poisson_point_mass_check(m)
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             poisson_point_mass_check(0)
