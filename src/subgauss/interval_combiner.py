@@ -174,6 +174,7 @@ def quantile_kreg_family(sample, k_reg: int, delta_min: float | None = None) -> 
     """
     values = as_values(sample)
     n = values.size
+    _kreg_check(n, k_reg)
     if delta_min is None:
         delta_min = 4.0 * math.exp(3.0 - n / (_REG_RATE * k_reg))
         if not delta_min < 0.25:
@@ -181,7 +182,6 @@ def quantile_kreg_family(sample, k_reg: int, delta_min: float | None = None) -> 
                 f"n={n} too small for a dyadic quartile family at k={k_reg}"
             )
     m = _family_depth(delta_min, n)
-    _kreg_check(n, k_reg)
     intervals = tuple(
         _quartile_interval(values, _kreg_blocks(n, 2.0**-k, k_reg)) for k in range(1, m + 1)
     )

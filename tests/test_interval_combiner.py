@@ -251,6 +251,17 @@ class TestQuantileKregFamily:
             (iv.lo.hex(), iv.hi.hex()) for iv in want
         ]
 
+    @pytest.mark.parametrize("k_reg", [0, -1])
+    def test_rejects_k_below_one_like_quantile_interval(self, k_reg):
+        values = sample(parse_distribution("laplace:0"), 2000, 11).values
+        with pytest.raises(ValueError) as level_error:
+            quantile_interval(values, 0.5, k_reg)
+        with pytest.raises(ValueError) as family_error:
+            quantile_kreg_family(values, k_reg)
+        with pytest.raises(ValueError) as estimate_error:
+            multiple_delta_estimate(values, "quantile_kreg", k_reg=k_reg)
+        assert str(family_error.value) == str(estimate_error.value) == str(level_error.value)
+
     def test_invalid_level_fails_like_quantile_interval(self):
         values = sample(parse_distribution("laplace:0"), 1000, 10).values
         # Level 8 (delta = 2^-8) lies below quantile_interval's range at n=1000.
