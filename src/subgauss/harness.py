@@ -31,7 +31,7 @@ from . import _batch
 from ._version import __version__
 from .core_estimators import _ceil_tol, _kreg_blocks, _kreg_check, _mom_blocks
 from .distributions import DistributionSpec, _draw_rows, format_distribution
-from .interval_combiner import _adaptive_depth, _family_depth
+from .interval_combiner import _family_depth
 from .kurtosis_pipeline import _check as _kurtosis_check
 from .kurtosis_pipeline import delta_floor, xi_terms
 from .seeding import chunk_bounds, trial_rngs
@@ -235,7 +235,7 @@ def _plan(estimator: str, dist: DistributionSpec, n: int, p: dict):
         kernel = _kernel("combined_fixed_rows", m, p["sigma2_hi"])
         return kernel, None, p["delta_min"], l_target
     if estimator == "combined_adaptive":
-        m = _adaptive_depth(n, p["delta_min"])
+        m = _family_depth(p["delta_min"], n)
         # On the good event the variance estimate stays below 1.5 sigma^2,
         # so the data-driven radius is at most 8 sqrt(3) e sigma sqrt(...).
         l_target = 8.0 * math.sqrt(3.0) * math.e * math.sqrt(1.0 + 2.0 * _LN2)

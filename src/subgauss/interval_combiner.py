@@ -96,6 +96,9 @@ def combine(family: IntervalFamily) -> CombineResult:
 
 
 def _family_depth(delta_min: float, n: int) -> int:
+    """Depth m of a family at (n, delta_min).  The range floor e^(1 - n/2)
+    keeps b_m = max(2, ceil(m ln 2)) <= n/2, so each adaptive variance block
+    holds at least 2 points."""
     lower = math.exp(1.0 - 0.5 * n)
     if not (delta_min >= lower * (1.0 - 1e-12) and delta_min < 1.0):
         raise ValueError(f"delta_min={delta_min!r} outside the valid range [{lower!r}, 1)")
@@ -110,16 +113,6 @@ def _level_blocks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Centre and variance block counts of levels k = 1..m."""
     ks = range(1, m + 1)
     return tuple(map(_mom_block_count, ks)), tuple(map(_variance_block_count, ks))
-
-
-def _adaptive_depth(n: int, delta_min: float) -> int:
-    """Depth m of adaptive_family at (n, delta_min); ValueError when a level's
-    variance blocks would hold fewer than 2 points."""
-    m = _family_depth(delta_min, n)
-    b_m = _level_blocks(m)[1][-1]
-    if n // b_m < 2:
-        raise ValueError(f"sample too small for the deepest level (n={n}, b_{m}={b_m})")
-    return m
 
 
 def _centered_family(values, m: int, widths) -> IntervalFamily:
@@ -158,7 +151,7 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
     variance knowledge is required.
     """
     values = as_values(sample)
-    m = _adaptive_depth(values.size, delta_min)
+    m = _family_depth(delta_min, values.size)
     b_of = _level_blocks(m)[1]
     # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
     nu2_of = {b: _block_variance(values, b) for b in set(b_of)}

@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import subgauss.interval_combiner as combiner_module
+from subgauss._batch import _variance_block_count
 from subgauss import (
     ConfidenceInterval,
     IntervalFamily,
@@ -152,9 +154,24 @@ class TestAdaptiveFamily:
             assert b.hi == pytest.approx(2.0 * a.hi, rel=1e-12, abs=1e-12)
 
     def test_rejects_sample_too_small_for_deepest_block(self):
-        # delta_min = 2^-10 needs b_9 = 7 blocks of >= 2 points
+        # delta_min = 2^-10 lies below the depth range floor e^(1 - 13/2)
         with pytest.raises(ValueError):
             adaptive_family(list(range(13)), 2.0**-10)
+
+    def test_depth_range_keeps_two_points_per_variance_block(self):
+        # Every delta_min that _family_depth accepts leaves the deepest level's
+        # b_m = max(2, ceil(m ln 2)) variance blocks at least 2 points each,
+        # so adaptive_family needs no check of its own.
+        for n in range(5, 3001):
+            lower = math.exp(1.0 - 0.5 * n)
+            if lower >= sys.float_info.min:
+                with pytest.raises(ValueError, match="outside the valid range"):
+                    combiner_module._family_depth(lower * (1.0 - 1e-9), n)
+            lower = max(lower, math.ulp(0.0))
+            for delta_min in [lower * (1.0 - 1e-12), *np.geomspace(lower, 0.25, 8).tolist()]:
+                m = combiner_module._family_depth(delta_min, n)
+                b_m = _variance_block_count(m)
+                assert n // b_m >= 2, (n, delta_min, m, b_m)
 
     def test_coverage_at_every_level(self):
         # the k-th radius misses mu with probability at most 2^(1-k)
