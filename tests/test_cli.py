@@ -12,6 +12,7 @@ import pytest
 from subgauss import (
     KurtosisConfig,
     kurtosis_estimate,
+    median_of_means,
     multiple_delta_estimate,
     quantile_interval,
     read_report,
@@ -489,5 +490,5 @@ class TestTopLevel:
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        float(proc.stdout)
+        assert float(proc.stdout) == median_of_means(values, 0.05)
         assert proc.stderr.splitlines()[-1] == "[]"

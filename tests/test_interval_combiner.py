@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import subgauss.interval_combiner as combiner_module
-from subgauss._batch import _variance_block_count
 from subgauss import (
     ConfidenceInterval,
     IntervalFamily,
@@ -21,6 +20,7 @@ from subgauss import (
     quantile_kreg_family,
     sample,
 )
+from subgauss._batch import _variance_block_count
 
 LN2 = math.log(2.0)
 
