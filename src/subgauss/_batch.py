@@ -18,13 +18,13 @@ so results are bit-identical to the untiled formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .core_estimators import _block_layout, _ceil_tol
+from .core_estimators import _LN2, _MOM_WIDTH, _block_layout, _ceil_tol, _level_radius
 
-_LN2 = math.log(2.0)
 _TILE_BYTES = 1 << 20  # one scratch tile of float64 rows: about 1 MB
 
 
@@ -165,42 +165,38 @@ def _variance_block_count(k: int) -> int:
     return max(2, _ceil_tol(k * _LN2))
 
 
-def _level_centers(chunk: np.ndarray, m: int) -> dict:
+@functools.lru_cache(maxsize=64)
+def _level_blocks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Centre and variance block counts of levels k = 1..m."""
+    ks = range(1, m + 1)
+    return tuple(map(_mom_block_count, ks)), tuple(map(_variance_block_count, ks))
+
+
+def _combined_rows(chunk: np.ndarray, m: int, widths) -> np.ndarray:
+    """Combined estimate per row: level k is the median-of-means at
+    delta = 2^(-k) plus or minus the k-th width times sqrt((1 + k ln 2)/n)."""
+    t, n = chunk.shape
+    b_of = _level_blocks(m)[0]
     # Levels share block counts (k = 1..9 use 7 distinct b): one pass each.
-    return {b: mom_rows(chunk, b) for b in {_mom_block_count(k) for k in range(1, m + 1)}}
+    centers_of = {b: mom_rows(chunk, b) for b in set(b_of)}
+    los = np.empty((t, m))
+    his = np.empty((t, m))
+    for k, (b, width) in enumerate(zip(b_of, widths), start=1):
+        radius = width * _level_radius(k, n)
+        los[:, k - 1] = centers_of[b] - radius
+        his[:, k - 1] = centers_of[b] + radius
+    return combine_rows(los, his)[0]
 
 
 def combined_fixed_rows(chunk: np.ndarray, m: int, sigma2_hi: float) -> np.ndarray:
     """Combined estimate per row, radii from a known variance bound."""
-    t, n = chunk.shape
-    scale = 2.0 * math.sqrt(2.0) * math.e * math.sqrt(sigma2_hi)
-    los = np.empty((t, m))
-    his = np.empty((t, m))
-    centers_of = _level_centers(chunk, m)
-    for k in range(1, m + 1):
-        centers = centers_of[_mom_block_count(k)]
-        radius = scale * math.sqrt((1.0 + k * _LN2) / n)
-        los[:, k - 1] = centers - radius
-        his[:, k - 1] = centers + radius
-    return combine_rows(los, his)[0]
+    return _combined_rows(chunk, m, [_MOM_WIDTH * math.sqrt(sigma2_hi)] * m)
 
 
 def combined_adaptive_rows(chunk: np.ndarray, m: int) -> np.ndarray:
     """Combined estimate per row, radii from per-level variance estimates."""
-    t, n = chunk.shape
-    a = 2.0 * math.sqrt(2.0) * math.e * 2.0
-    los = np.empty((t, m))
-    his = np.empty((t, m))
+    v_of = _level_blocks(m)[1]
     # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
-    nu2_of = {
-        b: mom_variance_rows(chunk, b)
-        for b in {_variance_block_count(k) for k in range(1, m + 1)}
-    }
-    centers_of = _level_centers(chunk, m)
-    for k in range(1, m + 1):
-        centers = centers_of[_mom_block_count(k)]
-        nu2 = nu2_of[_variance_block_count(k)]
-        radius = (a * np.sqrt(nu2)) * math.sqrt((1.0 + k * _LN2) / n)
-        los[:, k - 1] = centers - radius
-        his[:, k - 1] = centers + radius
-    return combine_rows(los, his)[0]
+    nu2_of = {b: mom_variance_rows(chunk, b) for b in set(v_of)}
+    a = _MOM_WIDTH * 2.0
+    return _combined_rows(chunk, m, (a * np.sqrt(nu2_of[b]) for b in v_of))

@@ -16,7 +16,7 @@ import numpy as np
 from .adversarial import infvar_stress
 from .core_estimators import median_of_means, quantile_interval
 from .distributions import MomentOverflowError, parse_distribution, regularity_probe
-from .harness import ESTIMATORS, ExperimentConfig, run_tail_experiment, write_report
+from .harness import _SPECS, ESTIMATORS, ExperimentConfig, run_tail_experiment, write_report
 from .interval_combiner import multiple_delta_estimate
 from .kurtosis_pipeline import KurtosisConfig, _check, _pipeline, kurtosis_estimate, xi_terms
 
@@ -65,7 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--b-max", dest="b_max", type=int)
     bench.add_argument("--kappa-bound", dest="kappa_bound", type=float)
     bench.add_argument("--l-target", dest="l_target", type=float)
-    bench.add_argument("--error-cap", dest="error_cap", type=int)
+    bench.add_argument(
+        "--error-cap", dest="error_cap", type=int, default=ExperimentConfig.error_cap
+    )
 
     adv = sub.add_parser("adversary", help="stress an estimator with a coupled pair")
     adv.add_argument("--mode", required=True, choices=("infvar",))
@@ -166,14 +168,8 @@ def _cmd_estimate(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    params = {}
-    for key in ("k_reg", "sigma2_hi", "delta_min", "b_max", "kappa_bound", "l_target"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-    extra = {}
-    if args.error_cap is not None:
-        extra["error_cap"] = args.error_cap
+    keys = {"l_target"}.union(*(defaults for defaults, _plan in _SPECS.values()))
+    params = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     config = ExperimentConfig(
         dist=args.dist,
         estimator=args.estimator,
@@ -183,7 +179,7 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         threads=args.threads,
         params=params,
-        **extra,
+        error_cap=args.error_cap,
     )
     report = run_tail_experiment(config)
     write_report(report, args.format, args.out)

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_MOM_WIDTH = 2.0 * math.sqrt(2.0) * math.e  # the constant L of median_of_means
 _REG_RATE = 124.0  # block budget per regularity index: b*k <= n/2 with b ~ 62 ln(3/delta)
 _REG_MIN_FACTOR = (3.0 + math.log(4.0)) * _REG_RATE
 
@@ -44,10 +45,7 @@ def _ceil_tol(x: float, tol: float = 1e-9) -> int:
 
 
 def _floor_tol(x: float, tol: float = 1e-9) -> int:
-    r = round(x)
-    if abs(x - r) <= tol * max(1.0, abs(x)):
-        return int(r)
-    return int(math.floor(x))
+    return -_ceil_tol(-x, tol)
 
 
 @functools.lru_cache(maxsize=256)
@@ -166,13 +164,30 @@ def median_of_means_raw(sample, b: int) -> float:
     return _mom(values, b)
 
 
+def _level_radius(k: int, n: int) -> float:
+    """sqrt((1 + k ln 2)/n): the deviation scale at confidence 2^(-k)."""
+    return math.sqrt((1.0 + k * _LN2) / n)
+
+
+def _check_range(name: str, value: float, log_floor: float) -> None:
+    """ValueError unless e^log_floor <= value < 1, with 1e-12 relative slack.
+
+    A floor that underflows to 0.0 lies below every positive float, so there
+    the test is value > 0 and the message shows the floor as exp(log_floor).
+    Zero and NaN are rejected either way.
+    """
+    floor = math.exp(log_floor)
+    ok = value >= floor * (1.0 - 1e-12) if floor > 0.0 else value > 0.0
+    if not (ok and value < 1.0):
+        shown = repr(floor) if floor > 0.0 else f"exp({log_floor!r})"
+        raise ValueError(f"{name}={value!r} outside the valid range [{shown}, 1)")
+
+
 def _mom_blocks(n: int, delta: float) -> int:
     """Block count of median_of_means at (n, delta); ValueError outside its range."""
     if n < 4:
         raise ValueError("median_of_means needs n >= 4")
-    lower = math.exp(1.0 - 0.5 * n)
-    if not (delta >= lower * (1.0 - 1e-12) and delta < 1.0):
-        raise ValueError(f"delta={delta!r} outside the valid range [{lower!r}, 1)")
+    _check_range("delta", delta, 1.0 - 0.5 * n)
     # The delta range keeps b <= n/2, so b needs no check of its own.
     return max(1, _ceil_tol(-math.log(delta)))
 
@@ -265,9 +280,7 @@ def _kreg_check(n: int, k: int) -> None:
 def _kreg_blocks(n: int, delta: float, k: int) -> int:
     """Block count of quantile_interval at (n, delta, k) once _kreg_check
     passed; ValueError outside the delta range."""
-    lower = math.exp(3.0 - n / (_REG_RATE * k))
-    if not (delta >= lower * (1.0 - 1e-12) and delta < 1.0):
-        raise ValueError(f"delta={delta!r} outside the valid range [{lower!r}, 1)")
+    _check_range("delta", delta, 3.0 - n / (_REG_RATE * k))
     b = _ceil_tol(62.0 * (math.log(3.0) - math.log(delta)))
     if 2 * b * k > n:
         raise ValueError(f"block count b={b} violates b*k <= n/2 (n={n}, k={k})")

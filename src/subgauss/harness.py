@@ -23,15 +23,15 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import _batch
 from ._version import __version__
-from .core_estimators import _ceil_tol, _kreg_blocks, _kreg_check, _mom_blocks
+from .core_estimators import _LN2, _MOM_WIDTH, _ceil_tol, _kreg_blocks, _kreg_check, _mom_blocks
 from .distributions import DistributionSpec, _draw_rows, format_distribution
-from .interval_combiner import _family_depth
+from .interval_combiner import _check_sigma2_hi, _family_depth
 from .kurtosis_pipeline import _check as _kurtosis_check
 from .kurtosis_pipeline import delta_floor, xi_terms
 from .seeding import chunk_bounds, trial_rngs
@@ -55,45 +55,25 @@ __all__ = [
     "read_report",
 ]
 
-ESTIMATORS = (
-    "empirical",
-    "mom",
-    "quantile_kreg",
-    "combined_fixed_sigma",
-    "combined_adaptive",
-    "kurtosis",
-)
-
 # Estimators that take delta as an input and are recomputed per delta; the
 # rest are computed once per trial and scored at every delta.
 DELTA_DEPENDENT = frozenset({"mom", "quantile_kreg"})
 
-_LN2 = math.log(2.0)
-_CSV_HEADER = "delta,radius,exceedance,quantile_error,l_hat"
+# The price of combining levels on an estimator's constant.
+_COMBINED = math.sqrt(1.0 + 2.0 * _LN2)
 # Config echo keys that may differ between equivalent runs; kept in the
 # in-memory report, excluded from serialized files.
 _VOLATILE_KEYS = ("threads",)
-
-_PARAM_KEYS = {
-    "empirical": (),
-    "mom": (),
-    "quantile_kreg": ("k_reg",),
-    "combined_fixed_sigma": ("sigma2_hi", "delta_min"),
-    "combined_adaptive": ("delta_min",),
-    "kurtosis": ("b_max", "kappa_bound"),
-}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a tail experiment depends on.
 
-    params carries estimator-specific settings: k_reg (quantile_kreg),
-    sigma2_hi and delta_min (combined_fixed_sigma), delta_min
-    (combined_adaptive), b_max and kappa_bound (kurtosis), plus an optional
-    l_target override for the radius constant.  error_cap bounds how many
-    per-trial errors are kept for quantiles; exceedance counts stay exact
-    beyond it.
+    params carries the estimator's settings, keyed as in _SPECS, plus an
+    optional l_target override for the radius constant.  error_cap bounds
+    how many per-trial errors are kept for quantiles; exceedance counts stay
+    exact beyond it.
     """
 
     dist: DistributionSpec
@@ -133,6 +113,10 @@ class TailRow:
     flag: str = ""
 
 
+# The numeric fields of a row: the CSV columns, in order.
+_COLUMNS = tuple(f.name for f in fields(TailRow) if f.name != "flag")
+
+
 @dataclass(frozen=True)
 class TailReport:
     rows: tuple[TailRow, ...]
@@ -153,99 +137,107 @@ def _validate_deltas(deltas) -> None:
             raise ValueError("deltas must be strictly increasing or decreasing")
 
 
-def _resolve_params(estimator: str, dist: DistributionSpec, raw: dict) -> dict:
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-    allowed = set(_PARAM_KEYS[estimator]) | {"l_target"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {sorted(unknown)} for estimator {estimator!r}"
-        )
-    out: dict = {}
-    if estimator == "quantile_kreg":
-        k_reg = int(raw.get("k_reg", 1))
-        if k_reg < 1:
-            raise ValueError("k_reg must be >= 1")
-        out["k_reg"] = k_reg
-    elif estimator == "combined_fixed_sigma":
-        if "sigma2_hi" not in raw:
-            raise ValueError("combined_fixed_sigma requires params['sigma2_hi']")
-        sigma2_hi = float(raw["sigma2_hi"])
-        if not sigma2_hi > 0.0:
-            raise ValueError("sigma2_hi must be > 0")
-        out["sigma2_hi"] = sigma2_hi
-        out["delta_min"] = float(raw.get("delta_min", 2.0**-10))
-    elif estimator == "combined_adaptive":
-        out["delta_min"] = float(raw.get("delta_min", 2.0**-10))
-    elif estimator == "kurtosis":
-        out["b_max"] = int(raw.get("b_max", 8))
-        kappa = float(raw.get("kappa_bound", dist.kappa))
-        if not kappa >= 1.0:  # also rejects NaN
-            raise ValueError("kappa_bound must be >= 1")
-        out["kappa_bound"] = kappa
-    if "l_target" in raw:
-        l_target = float(raw["l_target"])
-        if not l_target > 0.0:
-            raise ValueError("l_target must be > 0")
-        out["l_target"] = l_target
-    return dict(sorted(out.items()))
-
-
 def _kernel(name: str, *args):
     """Chunk (and block count) -> estimates by _batch.<name>, looked up at
     call time so that a wrapped kernel is the one called."""
     return lambda mat, *b: getattr(_batch, name)(mat, *b, *args)
 
 
-def _plan(estimator: str, dist: DistributionSpec, n: int, p: dict):
-    """(kernel, blocks, floor, l_target) of an experiment; raises on
-    preconditions that no delta can satisfy.
+def _plan_empirical(dist, n, p):
+    # Gaussian-limit constant: sqrt(2) makes the CLT tail exactly delta/e.
+    return (lambda mat: mat.mean(axis=1)), None, 0.0, math.sqrt(2.0)
 
-    kernel maps a (trials, n) chunk to one estimate per row.  The
-    delta-dependent estimators also pass it the block count blocks(delta)
-    returns, and a ValueError from blocks marks that delta invalid.  Rows with
-    delta below floor lie outside the stated guarantee.  l_target is the
-    theoretical constant the experiment scores.  Every validity rule is the
-    one-sample estimator's own.
-    """
-    if estimator == "empirical":
-        # Gaussian-limit constant: sqrt(2) makes the CLT tail exactly delta/e.
-        return (lambda mat: mat.mean(axis=1)), None, 0.0, math.sqrt(2.0)
-    if estimator == "mom":
-        _mom_blocks(n, 0.5)  # n < 4 fails at every delta: raise it once
-        l_target = 2.0 * math.sqrt(2.0) * math.e
-        return _kernel("mom_rows"), functools.partial(_mom_blocks, n), 0.0, l_target
-    if estimator == "quantile_kreg":
-        k = p["k_reg"]
-        _kreg_check(n, k)
-        d = 0.25 * math.log(0.75) + 0.75 * math.log(1.125)
-        l0 = 2.0 * math.exp(2.0 * d + 0.5)
-        # From midpoint error <= L0*sigma*sqrt(2b/n) and
-        # b <= (1 + 62 ln 3)(1 + ln(1/delta)), with a sqrt(k) allowance for
-        # the block-size floor at regularity index k.
-        l_target = l0 * math.sqrt(2.0 * k * (1.0 + 62.0 * math.log(3.0)))
-        return _kernel("kreg_midpoint_rows"), lambda delta: _kreg_blocks(n, delta, k), 0.0, l_target
-    if estimator == "combined_fixed_sigma":
-        m = _family_depth(p["delta_min"], n)
-        l_target = 0.0
-        if dist.sigma2 > 0.0:
-            base = 4.0 * math.sqrt(2.0) * math.e * math.sqrt(1.0 + 2.0 * _LN2)
-            l_target = base * math.sqrt(p["sigma2_hi"] / dist.sigma2)
-        kernel = _kernel("combined_fixed_rows", m, p["sigma2_hi"])
-        return kernel, None, p["delta_min"], l_target
-    if estimator == "combined_adaptive":
-        m = _family_depth(p["delta_min"], n)
-        # On the good event the variance estimate stays below 1.5 sigma^2,
-        # so the data-driven radius is at most 8 sqrt(3) e sigma sqrt(...).
-        l_target = 8.0 * math.sqrt(3.0) * math.e * math.sqrt(1.0 + 2.0 * _LN2)
-        return _kernel("combined_adaptive_rows", m), None, p["delta_min"], l_target
+
+def _plan_mom(dist, n, p):
+    _mom_blocks(n, 0.5)  # n < 4 fails at every delta: raise it once
+    return _kernel("mom_rows"), functools.partial(_mom_blocks, n), 0.0, _MOM_WIDTH
+
+
+def _plan_kreg(dist, n, p):
+    k = p["k_reg"]
+    _kreg_check(n, k)
+    d = 0.25 * math.log(0.75) + 0.75 * math.log(1.125)
+    l0 = 2.0 * math.exp(2.0 * d + 0.5)
+    # From midpoint error <= L0*sigma*sqrt(2b/n) and
+    # b <= (1 + 62 ln 3)(1 + ln(1/delta)), with a sqrt(k) allowance for
+    # the block-size floor at regularity index k.
+    l_target = l0 * math.sqrt(2.0 * k * (1.0 + 62.0 * math.log(3.0)))
+    return _kernel("kreg_midpoint_rows"), lambda delta: _kreg_blocks(n, delta, k), 0.0, l_target
+
+
+def _plan_fixed(dist, n, p):
+    _check_sigma2_hi(p["sigma2_hi"])
+    m = _family_depth(p["delta_min"], n)
+    l_target = 0.0
+    if dist.sigma2 > 0.0:
+        l_target = 2.0 * _MOM_WIDTH * _COMBINED * math.sqrt(p["sigma2_hi"] / dist.sigma2)
+    return _kernel("combined_fixed_rows", m, p["sigma2_hi"]), None, p["delta_min"], l_target
+
+
+def _plan_adaptive(dist, n, p):
+    m = _family_depth(p["delta_min"], n)
+    # On the good event the variance estimate stays below 1.5 sigma^2,
+    # so the data-driven radius is at most 8 sqrt(3) e sigma sqrt(...).
+    l_target = 8.0 * math.sqrt(3.0) * math.e * _COMBINED
+    return _kernel("combined_adaptive_rows", m), None, p["delta_min"], l_target
+
+
+def _plan_kurtosis(dist, n, p):
     b_max, kappa = p["b_max"], p["kappa_bound"]
+    if not kappa >= 1.0:  # also rejects NaN
+        raise ValueError("kappa_bound must be >= 1")
     _kurtosis_check(n, b_max)
     l_target = math.inf
     if math.isfinite(kappa):
         l_target = math.sqrt(2.0) * (1.0 + xi_terms(kappa, n, b_max).xi)
     return _kernel("truncated_pipeline_rows", b_max), None, delta_floor(b_max), l_target
+
+
+# estimator -> (parameter defaults, plan).  A parameter is an int if its
+# default is one and a float otherwise; a default of None makes it required,
+# a callable reads it from the distribution.  Every estimator also takes an
+# optional l_target, which overrides the constant its plan returns.
+#
+# plan(dist, n, params) returns (kernel, blocks, floor, l_target) and raises
+# on preconditions that no delta can satisfy.  kernel maps a (trials, n)
+# chunk to one estimate per row.  The delta-dependent estimators also pass it
+# the block count blocks(delta) returns, and a ValueError from blocks marks
+# that delta invalid.  Rows with delta below floor lie outside the stated
+# guarantee.  l_target is the theoretical constant the experiment scores.
+# Every validity rule is the one-sample estimator's own, except that kurtosis
+# also takes an infinite kappa_bound, which it scores against l_target = inf.
+_SPECS = {
+    "empirical": ({}, _plan_empirical),
+    "mom": ({}, _plan_mom),
+    "quantile_kreg": ({"k_reg": 1}, _plan_kreg),
+    "combined_fixed_sigma": ({"sigma2_hi": None, "delta_min": 2.0**-10}, _plan_fixed),
+    "combined_adaptive": ({"delta_min": 2.0**-10}, _plan_adaptive),
+    "kurtosis": ({"b_max": 8, "kappa_bound": lambda dist: dist.kappa}, _plan_kurtosis),
+}
+ESTIMATORS = tuple(_SPECS)
+
+
+def _resolve_params(estimator: str, dist: DistributionSpec, raw: dict) -> dict:
+    if estimator not in _SPECS:
+        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+    defaults = _SPECS[estimator][0]
+    unknown = set(raw) - set(defaults) - {"l_target"}
+    if unknown:
+        raise ValueError(
+            f"unknown parameter(s) {sorted(unknown)} for estimator {estimator!r}"
+        )
+    out: dict = {}
+    for key, default in defaults.items():
+        value = raw.get(key, default(dist) if callable(default) else default)
+        if value is None:
+            raise ValueError(f"{estimator} requires params[{key!r}]")
+        out[key] = int(value) if isinstance(default, int) else float(value)
+    if "l_target" in raw:
+        l_target = float(raw["l_target"])
+        if not l_target > 0.0:
+            raise ValueError("l_target must be > 0")
+        out["l_target"] = l_target
+    return dict(sorted(out.items()))
 
 
 def run_tail_experiment(config: ExperimentConfig) -> TailReport:
@@ -274,37 +266,34 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
     deltas = config.deltas
     _validate_deltas(deltas)
     p = _resolve_params(estimator, dist, config.params)
-    kernel, blocks, floor, l_target = _plan(estimator, dist, n, p)
+    kernel, blocks, floor, l_target = _SPECS[estimator][1](dist, n, p)
     l_target = p.get("l_target", l_target)
-    # Per delta: (valid, base flags, block count of a delta-dependent kernel).
-    rowinfo = []
-    for d in deltas:
+    # Index of each valid delta -> block count of a delta-dependent kernel.
+    valid = {}
+    for j, d in enumerate(deltas):
         try:
-            b = None if blocks is None else blocks(d)
+            valid[j] = None if blocks is None else blocks(d)
         except ValueError:
-            rowinfo.append((False, ["invalid_delta"], None))
-            continue
-        flags = ["below_delta_min"] if d < floor * (1.0 - 1e-12) else []
-        if d * trials < 10.0:
-            flags.append("undersampled")
-        rowinfo.append((True, flags, b))
+            pass
     sigma = math.sqrt(dist.sigma2)
     mu = dist.mu
     nd = len(deltas)
 
     denom = np.array([sigma * math.sqrt((1.0 - math.log(d)) / n) for d in deltas])
     radius = np.array(
-        [l_target * denom[j] if rowinfo[j][0] else math.nan for j in range(nd)]
+        [l_target * denom[j] if j in valid else math.nan for j in range(nd)]
     )
 
+    # A delta-dependent estimator keeps one error column per delta, the
+    # others one column scored at every delta.  Exceedances are counted per
+    # chunk; the quantiles come from the kept trials, every trial unless
+    # trials > error_cap, when a stratified subsample is kept.
     ddep = blocks is not None
-    specs = [(j, rowinfo[j][2]) for j in range(nd) if ddep and rowinfo[j][0]]
-    subsampled = trials > config.error_cap
     kept = min(trials, config.error_cap)
-    keep = (np.arange(kept, dtype=np.int64) * trials) // kept if subsampled else None
-    store = np.full((kept, nd), np.nan) if ddep else np.empty(kept)
+    keep = (np.arange(kept, dtype=np.int64) * trials) // kept
+    store = np.full((kept, nd if ddep else 1), np.nan)
     bounds = chunk_bounds(trials, n)
-    counts = np.zeros((len(bounds), nd), dtype=np.int64) if subsampled else None
+    counts = np.zeros((len(bounds), nd), dtype=np.int64)
     # Per chunk and delta: whether any trial error is NaN or infinite.
     nonfinite = np.zeros((len(bounds), nd), dtype=bool)
 
@@ -315,23 +304,14 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
         _draw_rows(dist, mat, trial_rngs(config.seed, t0, t1))
         if ddep:
             out = np.full((c, nd), np.nan)
-            for j, b in specs:
+            for j, b in valid.items():
                 out[:, j] = np.abs(kernel(mat, b) - mu)
         else:
-            out = np.abs(kernel(mat) - mu)
-        finite = np.isfinite(out)
-        nonfinite[ci] = ~(finite.all(axis=0) if ddep else finite.all())
-        if not subsampled:
-            store[t0:t1] = out
-            return
-        if ddep:
-            counts[ci] = np.count_nonzero(out > radius[None, :], axis=0)
-        else:
-            counts[ci] = np.count_nonzero(out[:, None] > radius[None, :], axis=0)
-        lo = int(np.searchsorted(keep, t0, side="left"))
-        hi = int(np.searchsorted(keep, t1, side="left"))
-        if hi > lo:
-            store[lo:hi] = out[keep[lo:hi] - t0]
+            out = np.abs(kernel(mat) - mu)[:, None]
+        nonfinite[ci] = ~np.isfinite(out).all(axis=0)
+        counts[ci] = np.count_nonzero(out > radius, axis=0)
+        lo, hi = np.searchsorted(keep, (t0, t1))
+        store[lo:hi] = out[keep[lo:hi] - t0]
 
     if nd > 0:
         if config.threads == 1 or len(bounds) == 1:
@@ -344,30 +324,26 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
 
     rows = []
     for j, d in enumerate(deltas):
-        valid, flags, _b = rowinfo[j]
-        if not valid:
+        if j not in valid:
             rows.append(
                 TailRow(float(d), math.nan, math.nan, math.nan, math.nan, "invalid_delta")
             )
             continue
-        flags = list(flags)
-        col = store[:, j] if ddep else store
-        if subsampled:
+        flags = ["below_delta_min"] if d < floor * (1.0 - 1e-12) else []
+        if d * trials < 10.0:
+            flags.append("undersampled")
+        if kept < trials:
             flags.append("subsampled_quantile")
-            exceed_count = int(counts[:, j].sum())
-        else:
-            exceed_count = int(np.count_nonzero(col > radius[j]))
         if nonfinite[:, j].any():
             flags.append("nonfinite")
-        t_eff = col.size
-        r = min(max(_ceil_tol((1.0 - d) * t_eff), 1), t_eff)
-        q = float(np.partition(col, r - 1)[r - 1])
+        r = min(max(_ceil_tol((1.0 - d) * kept), 1), kept)
+        q = float(np.partition(store[:, j if ddep else 0], r - 1)[r - 1])
         l_hat = q / float(denom[j]) if sigma > 0.0 else 0.0
         rows.append(
             TailRow(
                 float(d),
                 float(radius[j]),
-                exceed_count / trials,
+                int(counts[:, j].sum()) / trials,
                 q,
                 l_hat,
                 "+".join(flags),
@@ -426,14 +402,9 @@ def normalized_quantile_curve(errors, sigma: float, n: int, deltas):
 
 
 def _json_safe(value):
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if value == math.inf:
-            return "inf"
-        if value == -math.inf:
-            return "-inf"
-        return value
+    # Non-finite floats become the strings "nan", "inf" and "-inf".
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -442,12 +413,8 @@ def _json_safe(value):
 
 
 def _json_restore(value):
-    if value == "nan":
-        return math.nan
-    if value == "inf":
-        return math.inf
-    if value == "-inf":
-        return -math.inf
+    if value in ("nan", "inf", "-inf"):
+        return float(value)
     if isinstance(value, dict):
         return {k: _json_restore(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -477,14 +444,9 @@ def _render_csv(report: TailReport) -> str:
     for row in report.rows:
         if row.flag:
             lines.append(f"# flag delta={_fmt_float(row.delta)} : {row.flag}")
-    lines.append(_CSV_HEADER)
+    lines.append(",".join(_COLUMNS))
     for row in report.rows:
-        lines.append(
-            ",".join(
-                _fmt_float(x)
-                for x in (row.delta, row.radius, row.exceedance, row.quantile_error, row.l_hat)
-            )
-        )
+        lines.append(",".join(_fmt_float(getattr(row, c)) for c in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -496,14 +458,7 @@ def _render_json(report: TailReport) -> str:
             if k not in _VOLATILE_KEYS
         },
         "rows": [
-            {
-                "delta": _json_safe(row.delta),
-                "radius": _json_safe(row.radius),
-                "exceedance": _json_safe(row.exceedance),
-                "quantile_error": _json_safe(row.quantile_error),
-                "l_hat": _json_safe(row.l_hat),
-                "flag": row.flag,
-            }
+            {**{c: _json_safe(getattr(row, c)) for c in _COLUMNS}, "flag": row.flag}
             for row in report.rows
         ],
     }
@@ -542,14 +497,7 @@ def read_report(path) -> TailReport:
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ValueError(f"{path}: not a JSON tail report")
     rows = tuple(
-        TailRow(
-            delta=_json_restore(r["delta"]),
-            radius=_json_restore(r["radius"]),
-            exceedance=_json_restore(r["exceedance"]),
-            quantile_error=_json_restore(r["quantile_error"]),
-            l_hat=_json_restore(r["l_hat"]),
-            flag=r.get("flag", ""),
-        )
+        TailRow(**{c: _json_restore(r[c]) for c in _COLUMNS}, flag=r.get("flag", ""))
         for r in obj["rows"]
     )
     return TailReport(

@@ -10,20 +10,22 @@ on the constant.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from ._batch import _mom_block_count, _variance_block_count
+from ._batch import _level_blocks
 # median_of_means, mom_variance and quantile_interval are not called here, but
 # perfbench/spans.py wraps the core estimators under these names in this module.
 from .core_estimators import (  # noqa: F401
+    _MOM_WIDTH,
     _REG_RATE,
     ConfidenceInterval,
     _block_variance,
+    _check_range,
     _floor_tol,
     _kreg_blocks,
     _kreg_check,
+    _level_radius,
     _mom,
     _quartile_interval,
     median_of_means,
@@ -43,7 +45,6 @@ __all__ = [
     "BUILDERS",
 ]
 
-_LN2 = math.log(2.0)
 BUILDERS = ("fixed_sigma", "adaptive", "quantile_kreg")
 
 
@@ -99,20 +100,17 @@ def _family_depth(delta_min: float, n: int) -> int:
     """Depth m of a family at (n, delta_min).  The range floor e^(1 - n/2)
     keeps b_m = max(2, ceil(m ln 2)) <= n/2, so each adaptive variance block
     holds at least 2 points."""
-    lower = math.exp(1.0 - 0.5 * n)
-    if not (delta_min >= lower * (1.0 - 1e-12) and delta_min < 1.0):
-        raise ValueError(f"delta_min={delta_min!r} outside the valid range [{lower!r}, 1)")
+    _check_range("delta_min", delta_min, 1.0 - 0.5 * n)
     m = _floor_tol(-math.log2(delta_min)) - 1
     if m < 1:
         raise ValueError("delta_min must be at most 1/4 so the family is nonempty")
     return m
 
 
-@functools.lru_cache(maxsize=64)
-def _level_blocks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Centre and variance block counts of levels k = 1..m."""
-    ks = range(1, m + 1)
-    return tuple(map(_mom_block_count, ks)), tuple(map(_variance_block_count, ks))
+def _check_sigma2_hi(sigma2_hi: float) -> None:
+    """fixed_sigma_family's rule on the variance bound; ValueError if unmet."""
+    if not 0.0 < sigma2_hi < math.inf:  # also rejects NaN
+        raise ValueError("sigma2_hi must be finite and > 0")
 
 
 def _centered_family(values, m: int, widths) -> IntervalFamily:
@@ -122,7 +120,7 @@ def _centered_family(values, m: int, widths) -> IntervalFamily:
     center_of = {b: _mom(values, b) for b in set(b_of)}
     intervals = []
     for k, (b, width) in enumerate(zip(b_of, widths), start=1):
-        radius = width * math.sqrt((1.0 + k * _LN2) / values.size)
+        radius = width * _level_radius(k, values.size)
         intervals.append(ConfidenceInterval(center_of[b] - radius, center_of[b] + radius))
     return IntervalFamily(tuple(intervals))
 
@@ -135,12 +133,9 @@ def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFa
     m = floor(log2(1/delta_min)) - 1 levels.
     """
     values = as_values(sample)
-    n = values.size
-    if not sigma2_hi > 0.0:
-        raise ValueError("sigma2_hi must be > 0")
-    m = _family_depth(delta_min, n)
-    scale = 2.0 * math.sqrt(2.0) * math.e * math.sqrt(sigma2_hi)
-    return _centered_family(values, m, [scale] * m)
+    _check_sigma2_hi(sigma2_hi)
+    m = _family_depth(delta_min, values.size)
+    return _centered_family(values, m, [_MOM_WIDTH * math.sqrt(sigma2_hi)] * m)
 
 
 def adaptive_family(sample, delta_min: float) -> IntervalFamily:
@@ -155,7 +150,7 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
     b_of = _level_blocks(m)[1]
     # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
     nu2_of = {b: _block_variance(values, b) for b in set(b_of)}
-    a = 2.0 * math.sqrt(2.0) * math.e * 2.0
+    a = _MOM_WIDTH * 2.0
     return _centered_family(values, m, [a * math.sqrt(nu2_of[b]) for b in b_of])
 
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core_estimators import _MOM_WIDTH, _block_variance, _mom
 # median_of_means_raw and mom_variance are not called here, but
 # perfbench/spans.py wraps the core estimators under these names in this module.
-from .core_estimators import _block_variance, _mom, median_of_means_raw, mom_variance  # noqa: F401
+from .core_estimators import median_of_means_raw, mom_variance  # noqa: F401
 from .distributions import as_values
 
 __all__ = [
@@ -59,10 +60,14 @@ class XiTerms:
             raise ValueError("xi terms must be nonnegative")
 
 
+def _check_radius(R: float) -> None:
+    if not R >= 0.0:  # also rejects NaN
+        raise ValueError("R must be >= 0")
+
+
 def psi(mu: float, R: float, x):
     """Clip x (scalar or array) to the window [mu - R, mu + R]."""
-    if R < 0.0:
-        raise ValueError("R must be >= 0")
+    _check_radius(R)
     clipped = np.clip(x, mu - R, mu + R)
     if np.ndim(x) == 0:
         return float(clipped)
@@ -72,8 +77,7 @@ def psi(mu: float, R: float, x):
 def truncated_mean(sample, mu: float, R: float) -> float:
     """Arithmetic mean of the sample clipped to [mu - R, mu + R]."""
     values = as_values(sample)
-    if R < 0.0:
-        raise ValueError("R must be >= 0")
+    _check_radius(R)
     return float(np.clip(values, mu - R, mu + R).mean())
 
 
@@ -148,7 +152,7 @@ def kurtosis_estimate(sample, config: KurtosisConfig) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    eps_mu = 2.0 * math.sqrt(2.0) * math.e * math.sqrt(b / n)
+    eps_mu = _MOM_WIDTH * math.sqrt(b / n)
     eps_r = 2.0 * math.e * math.sqrt(3.0 * (kappa + 3.0))
     half = math.sqrt(n / (2.0 * b))
     if 2.0 * (eps_mu + eps_r) > half:

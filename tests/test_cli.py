@@ -19,6 +19,7 @@ from subgauss import (
     xi_terms,
 )
 from subgauss.cli import run_cli
+from subgauss.harness import _SPECS
 
 
 def write_numbers(tmp_path, values, name="data.txt"):
@@ -191,6 +192,18 @@ class TestEstimateErrors:
         assert run_cli(base + ["--sigma2-hi", "1.0"]) == 2
         assert "requires --delta-min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma2_hi", ["inf", "nan"])
+    def test_fixed_sigma_rejects_non_finite_sigma2_hi(self, tmp_path, capsys, sigma2_hi):
+        path = write_numbers(tmp_path, np.random.default_rng(42).normal(size=64).tolist())
+        code = run_cli(
+            ["estimate", "--input", path, "--estimator", "combined_fixed_sigma",
+             "--sigma2-hi", sigma2_hi, "--delta-min", "0.01"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma2_hi must be finite and > 0" in captured.err
+
     def test_diagnostics_requires_kappa_bound(self, tmp_path, capsys):
         path = write_numbers(tmp_path, [float(i) for i in range(32)])
         code = run_cli(
@@ -308,6 +321,36 @@ class TestBench:
         assert run_cli(args) == 0
         capsys.readouterr()
         assert read_report(out).metadata["params"] == {"b_max": 4, "kappa_bound": 6.0}
+
+    # flag value and the value metadata["params"] must echo, type included
+    PARAM_VALUES = {
+        "k_reg": ("1", 1),
+        "sigma2_hi": ("2", 2.0),
+        "delta_min": ("0.0625", 0.0625),
+        "b_max": ("4", 4),
+        "kappa_bound": ("6", 6.0),
+        "l_target": ("3.5", 3.5),
+    }
+
+    @pytest.mark.parametrize(
+        "estimator,key",
+        [(e, k) for e, (defaults, _plan) in _SPECS.items() for k in (*defaults, "l_target")],
+    )
+    def test_every_table_param_round_trips(self, tmp_path, capsys, estimator, key):
+        defaults = _SPECS[estimator][0]
+        keys = {key} | {k for k, default in defaults.items() if default is None}
+        args = [
+            "bench", "--dist", "gaussian:0,1", "--estimator", estimator, "--n", "700",
+            "--trials", "40", "--deltas", "0.2", "--seed", "5",
+            "--out", str(tmp_path / "p.json"), "--format", "json",
+        ]
+        for k in sorted(keys):
+            args += ["--" + k.replace("_", "-"), self.PARAM_VALUES[k][0]]
+        assert run_cli(args) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        got = read_report(tmp_path / "p.json").metadata["params"][key]
+        want = self.PARAM_VALUES[key][1]
+        assert got == want and type(got) is type(want)
 
     def test_bad_dist_is_usage_error(self, tmp_path, capsys):
         args = list(self.BASE) + ["--out", str(tmp_path / "x.csv"), "--format", "csv"]

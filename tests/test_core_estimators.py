@@ -8,6 +8,7 @@ from subgauss import (
     median_of_means,
     median_of_means_raw,
     mom_variance,
+    multiple_delta_estimate,
     pairwise_block_variance,
     parse_distribution,
     partition_blocks,
@@ -174,6 +175,7 @@ class TestMedianOfMeans:
         # at the limit b = ceil(1) = 1, the empirical mean
         assert median_of_means([1.0, 2.0, 3.0, 4.0], math.exp(-1.0)) == 2.5
 
+
     def test_equals_raw_at_its_block_count(self):
         # bit for bit, from delta near 1 down to the e^(1 - n/2) floor
         rng = np.random.default_rng(31)
@@ -200,6 +202,43 @@ class TestMedianOfMeans:
         assert np.median(errs) < 0.2
         bound = 2.0 * math.sqrt(2.0) * math.e * math.sqrt((1.0 + math.log(100)) / 256)
         assert np.mean(np.asarray(errs) > bound) <= 0.01 + 3 * math.sqrt(0.0099 / 200)
+
+
+class TestUnderflowingRangeFloor:
+    """At n = 2,000 the floor e^(1 - n/2) is below the smallest float, and
+    at n = 100,000 so is quantile_interval's e^(3 - n/124)."""
+
+    X = np.random.default_rng(7).normal(size=2000)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan])
+    def test_median_of_means_rejects_zero_and_nan(self, delta):
+        want = rf"delta={delta!r} outside the valid range \[exp\(-999\.0\), 1\)"
+        with pytest.raises(ValueError, match=want):
+            median_of_means(self.X, delta)
+
+    @pytest.mark.parametrize("builder", ["fixed_sigma", "adaptive"])
+    @pytest.mark.parametrize("delta_min", [0.0, math.nan])
+    def test_families_reject_zero_and_nan(self, builder, delta_min):
+        want = rf"delta_min={delta_min!r} outside the valid range \[exp\(-999\.0\), 1\)"
+        with pytest.raises(ValueError, match=want):
+            multiple_delta_estimate(self.X, builder, sigma2_hi=1.0, delta_min=delta_min)
+
+    def test_quantile_interval_rejects_zero(self):
+        x = np.random.default_rng(8).normal(size=100_000)
+        with pytest.raises(ValueError, match=r"\[exp\(-803\.45\d*\), 1\)"):
+            quantile_interval(x, 0.0, 1)
+
+    def test_positive_levels_stay_valid(self):
+        tiny = math.ulp(0.0)
+        assert math.isfinite(median_of_means(self.X, tiny))
+        assert math.isfinite(multiple_delta_estimate(self.X, "adaptive", delta_min=tiny))
+
+    def test_representable_floor_prints_as_before(self):
+        x = self.X[:600]
+        want = f"delta=0.0 outside the valid range [{math.exp(-299.0)!r}, 1)"
+        with pytest.raises(ValueError) as info:
+            median_of_means(x, 0.0)
+        assert str(info.value) == want
 
 
 class TestPairwiseBlockVariance:

@@ -362,6 +362,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             run_tail_experiment(cfg)
 
+    @pytest.mark.parametrize("sigma2_hi", [math.inf, math.nan])
+    def test_non_finite_sigma2_hi(self, sigma2_hi):
+        cfg = ExperimentConfig(
+            GAUSS, "combined_fixed_sigma", 64, 10, (0.1,), seed=1,
+            params={"sigma2_hi": sigma2_hi},
+        )
+        with pytest.raises(ValueError, match="sigma2_hi must be finite and > 0"):
+            run_tail_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "estimator,params",
+        [
+            ("combined_fixed_sigma", {"sigma2_hi": 4.0, "delta_min": 0.0}),
+            ("combined_adaptive", {"delta_min": 0.0}),
+        ],
+    )
+    def test_zero_delta_min_with_underflowing_floor(self, estimator, params):
+        cfg = ExperimentConfig(GAUSS, estimator, 2000, 10, (0.1,), seed=1, params=params)
+        with pytest.raises(ValueError, match=r"valid range \[exp\(-999\.0\), 1\)"):
+            run_tail_experiment(cfg)
+
     def test_bad_deltas(self):
         for deltas in ((0.0,), (1.0,), (0.1, 0.1), (0.1, 0.5, 0.2)):
             cfg = ExperimentConfig(GAUSS, "empirical", 16, 10, deltas, seed=1)
@@ -615,9 +636,9 @@ class TestMomTailBound:
 def test_delta_dependent_estimators_are_the_ones_planned_per_delta():
     dist = parse_distribution("gaussian:0,1")
     planned = set()
-    for estimator in harness_module.ESTIMATORS:
+    for estimator, (_defaults, plan) in harness_module._SPECS.items():
         raw = {"sigma2_hi": 1.0} if estimator == "combined_fixed_sigma" else {}
         p = harness_module._resolve_params(estimator, dist, raw)
-        if harness_module._plan(estimator, dist, 600, p)[1] is not None:
+        if plan(dist, 600, p)[1] is not None:
             planned.add(estimator)
     assert planned == harness_module.DELTA_DEPENDENT

@@ -137,6 +137,14 @@ class TestFixedSigmaFamily:
         with pytest.raises(ValueError):
             fixed_sigma_family(s, 1.0, 0.3)  # would give m = 0
 
+    @pytest.mark.parametrize("sigma2_hi", [math.inf, math.nan])
+    def test_rejects_non_finite_sigma2_hi(self, sigma2_hi):
+        s = sample(parse_distribution("gaussian:0,1"), 64, 5)
+        with pytest.raises(ValueError, match="sigma2_hi must be finite and > 0"):
+            fixed_sigma_family(s, sigma2_hi, 1.0 / 16.0)
+        with pytest.raises(ValueError, match="sigma2_hi must be finite and > 0"):
+            multiple_delta_estimate(s, "fixed_sigma", sigma2_hi=sigma2_hi, delta_min=0.01)
+
 
 class TestAdaptiveFamily:
     def test_constant_sample_collapses(self):

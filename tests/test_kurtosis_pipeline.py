@@ -39,6 +39,10 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(0.0, -0.1, 1.0)
 
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValueError, match="R must be >= 0"):
+            psi(0.0, math.nan, 1.0)
+
     def test_lipschitz_and_window_grid(self):
         rng = np.random.default_rng(8)
         for _ in range(300):
@@ -74,6 +78,10 @@ class TestTruncatedMean:
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             truncated_mean([1.0, 2.0], 0.0, -1.0)
+
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValueError, match="R must be >= 0"):
+            truncated_mean([1.0, 2.0], 0.0, math.nan)
 
 
 class TestXiTerms:
