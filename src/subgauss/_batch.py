@@ -5,15 +5,12 @@ once.  Block sums use a single reduceat over the flattened matrix with the
 same block layout as the one-sample reference implementations, so batch
 results agree with per-trial calls up to floating-point reassociation.
 
-Memory contract of the variance and truncation kernels: they walk the
-matrix in row tiles of about _TILE_BYTES and write every elementwise
-intermediate into one (tile, n) scratch buffer allocated per call, so no
-(trials, n) temporary exists beyond that tile and concurrent calls on
-threads share nothing.  The combined kernels compute the median-of-means
+The variance and truncation kernels write every elementwise intermediate
+into one scratch buffer of their input's shape, allocated per call, so
+concurrent calls on threads share nothing; seeding.chunk_bounds sizes the
+chunks they are handed.  The combined kernels compute the median-of-means
 centres, and combined_adaptive_rows the block variances, once per distinct
-block count, not once per level.  The tiling changes no
-value: each block sum is the same reduceat over the same contiguous values,
-so results are bit-identical to the untiled formulas.
+block count, not once per level.
 """
 
 from __future__ import annotations
@@ -24,27 +21,6 @@ import math
 import numpy as np
 
 from .core_estimators import _LN2, _MOM_WIDTH, _block_layout, _ceil_tol, _level_radius
-
-_TILE_BYTES = 1 << 20  # one scratch tile of float64 rows: about 1 MB
-
-
-def _tile_rows(n: int) -> int:
-    """Rows per scratch tile for rows of length n (at least one)."""
-    return max(1, _TILE_BYTES // (8 * n))
-
-
-def _row_tiles(t: int, n: int):
-    """Yield (row slice, scratch) pairs covering t rows of length n.
-
-    The scratch is a contiguous (rows, n) view of one buffer allocated for
-    this call alone.
-    """
-    step = _tile_rows(n)
-    buf = np.empty((min(step, t), n))
-    for lo in range(0, t, step):
-        hi = min(lo + step, t)
-        yield slice(lo, hi), buf[: hi - lo]
-
 
 def _rank0(b: int, alpha: float) -> int:
     # 0-based index of the clamped 1-based ceil(alpha*b) rank, matching
@@ -78,33 +54,30 @@ def mom_variance_rows(chunk: np.ndarray, b: int) -> np.ndarray:
     """Median of per-block unbiased variances for every row.
 
     Centered like the one-sample formula, so near-constant blocks far from
-    zero keep full precision.  Each row tile is centered block by block
-    through reshaped views: the first n mod b blocks have q+1 values and the
-    rest q, so (rows, r, q+1) and (rows, b-r, q) views broadcast the block
-    means without a gather.
+    zero keep full precision.  The chunk is centered block by block through
+    reshaped views: the first n mod b blocks have q+1 values and the rest q,
+    so (t, r, q+1) and (t, b-r, q) views broadcast the block means without
+    a gather.
     """
     t, n = chunk.shape
     starts, sizes = _block_layout(n, b)
     q, r = divmod(n, b)
     split = r * (q + 1)
-    var = np.empty((t, b))
-    for rows, buf in _row_tiles(t, n):
-        tile = chunk[rows]
-        m = buf.shape[0]
-        mean = _segment_sums(tile, starts) / sizes
-        if r:
-            np.subtract(
-                tile[:, :split].reshape(m, r, q + 1),
-                mean[:, :r, None],
-                out=buf[:, :split].reshape(m, r, q + 1),
-            )
+    buf = np.empty((t, n))
+    mean = _segment_sums(chunk, starts) / sizes
+    if r:
         np.subtract(
-            tile[:, split:].reshape(m, b - r, q),
-            mean[:, r:, None],
-            out=buf[:, split:].reshape(m, b - r, q),
+            chunk[:, :split].reshape(t, r, q + 1),
+            mean[:, :r, None],
+            out=buf[:, :split].reshape(t, r, q + 1),
         )
-        np.multiply(buf, buf, out=buf)
-        var[rows] = np.maximum(_segment_sums(buf, starts) / (sizes - 1), 0.0)
+    np.subtract(
+        chunk[:, split:].reshape(t, b - r, q),
+        mean[:, r:, None],
+        out=buf[:, split:].reshape(t, b - r, q),
+    )
+    np.multiply(buf, buf, out=buf)
+    var = np.maximum(_segment_sums(buf, starts) / (sizes - 1), 0.0)
     return _select_rows(var, _rank0(b, 0.5))
 
 
@@ -129,13 +102,9 @@ def truncated_pipeline_rows(chunk: np.ndarray, b_max: int) -> np.ndarray:
     mu = mom_rows(chunk, b_max)
     nu2 = mom_variance_rows(chunk, b_max)
     r = np.sqrt(nu2) * math.sqrt(n / (2.0 * b_max))
-    lo = (mu - r)[:, None]
-    hi = (mu + r)[:, None]
-    est = np.empty(chunk.shape[0])
-    for rows, buf in _row_tiles(*chunk.shape):
-        np.clip(chunk[rows], lo[rows], hi[rows], out=buf)
-        est[rows] = buf.mean(axis=1)
-    return est
+    # A C-ordered scratch, so each row sums pairwise on any input layout.
+    buf = np.clip(chunk, (mu - r)[:, None], (mu + r)[:, None], out=np.empty(chunk.shape))
+    return buf.mean(axis=1)
 
 
 def combine_rows(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

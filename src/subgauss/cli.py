@@ -147,16 +147,20 @@ def _cmd_estimate(parser: argparse.ArgumentParser, args) -> int:
     for flag in flags:
         if getattr(args, flag) is None:
             parser.error(f"estimator {name!r} requires --{flag.replace('_', '-')}")
-    if name != "kurtosis":
-        print(format(estimate_of(values, args), ".17g"))
-        return 0
-    if args.diagnostics and args.kappa_bound is None:
+    diagnostics = name == "kurtosis" and args.diagnostics
+    if diagnostics and args.kappa_bound is None:
         parser.error("--diagnostics with 'kurtosis' requires --kappa-bound")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    # kurtosis records its precondition warnings for --diagnostics; the
+    # other estimators' warnings reach stderr.
+    with warnings.catch_warnings(record=name == "kurtosis") as caught:
+        if caught is not None:
+            warnings.simplefilter("always")
         estimate = estimate_of(values, args)
+    # Every input value is finite, so only an overflowing sum gets here.
+    if not math.isfinite(estimate):
+        raise ValueError(f"the {name} estimate is {estimate!r}: the input's sums overflow float64")
     print(format(estimate, ".17g"))
-    if args.diagnostics:
+    if diagnostics:
         terms = xi_terms(args.kappa_bound, values.size, args.b_max)
         print(f"xi = {terms.xi:.17g}")
         print(f"xi1 = {terms.xi1:.17g}")

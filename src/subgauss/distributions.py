@@ -14,6 +14,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import seeding
+
 __all__ = [
     "DistributionSpec",
     "MomentOverflowError",
@@ -362,9 +364,9 @@ def regularity_probe(
     target = j * dist.mu
     below = 0
     above = 0
-    # Bounded buffers; the batch size is fixed by (j, trials), never by
-    # threads, so the probe is reproducible.
-    batch = max(1, min(trials, 8_000_000 // j))
+    # Batches of about one harness chunk; each continues the same stream and
+    # the transforms are elementwise, so the batch size changes no output.
+    batch = max(1, min(trials, seeding._CHUNK_TARGET // j))
     done = 0
     while done < trials:
         t = min(batch, trials - done)

@@ -17,6 +17,7 @@ from ._batch import _level_blocks
 # median_of_means, mom_variance and quantile_interval are not called here, but
 # perfbench/spans.py wraps the core estimators under these names in this module.
 from .core_estimators import (  # noqa: F401
+    _LN2,
     _MOM_WIDTH,
     _REG_RATE,
     ConfidenceInterval,
@@ -164,12 +165,13 @@ def quantile_kreg_family(sample, k_reg: int, delta_min: float | None = None) -> 
     n = values.size
     _kreg_check(n, k_reg)
     if delta_min is None:
-        delta_min = 4.0 * math.exp(3.0 - n / (_REG_RATE * k_reg))
-        if not delta_min < 0.25:
-            raise ValueError(
-                f"n={n} too small for a dyadic quartile family at k={k_reg}"
-            )
-    m = _family_depth(delta_min, n)
+        # The default's depth, in log space: the default underflows to 0.0
+        # from n of about 92,800 k_reg.
+        m = _floor_tol((n / (_REG_RATE * k_reg) - 3.0 - math.log(4.0)) / _LN2) - 1
+        if m < 1:
+            raise ValueError(f"n={n} too small for a dyadic quartile family at k={k_reg}")
+    else:
+        m = _family_depth(delta_min, n)
     intervals = tuple(
         _quartile_interval(values, _kreg_blocks(n, 2.0**-k, k_reg)) for k in range(1, m + 1)
     )

@@ -15,9 +15,9 @@ from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["mix_seed", "trial_rngs"]
 
-# Floats generated per chunk of trials; fixed so the chunk layout (and
+# Floats generated per chunk of trials (2 MB); fixed so the chunk layout (and
 # therefore every aggregate over chunks) is independent of thread count.
-_CHUNK_TARGET = 1 << 22
+_CHUNK_TARGET = 1 << 18
 _MAX_CHUNK_TRIALS = 4096
 
 _MASK64 = (1 << 64) - 1
@@ -152,6 +152,12 @@ def trial_rngs(master: int, start: int, stop: int):
 
 
 def chunk_bounds(trials: int, n: int) -> list[tuple[int, int]]:
-    """(first, stop) trial ranges of the chunks of about _CHUNK_TARGET values."""
+    """(first, stop) trial ranges of the chunks of about _CHUNK_TARGET values.
+
+    Each chunk holds at most max(n, _CHUNK_TARGET) values and
+    _MAX_CHUNK_TRIALS rows.  This is the one working-set policy of the
+    bulk draws: a chunk plus one scratch of its size fits one core's L2;
+    kernels allocate scratch the size of their input.
+    """
     step = max(1, min(_MAX_CHUNK_TRIALS, _CHUNK_TARGET // n))
     return [(t0, min(t0 + step, trials)) for t0 in range(0, trials, step)]

@@ -1,9 +1,9 @@
-"""Bit-for-bit parity of the tiled variance kernels with untiled references.
+"""Bit-for-bit parity of the batch variance kernels with their references.
 
-The kernels in subgauss._batch walk the matrix in row tiles through one
-scratch buffer and compute each centre and block variance once per distinct
-block count; tests/reference.py holds the per-level, whole-matrix formulas
-they replace.
+The kernels in subgauss._batch write their intermediates into one scratch
+buffer and compute each centre and block variance once per distinct block
+count; tests/reference.py holds the per-level, whole-matrix formulas they
+replace.
 Every case compares with np.array_equal, so any change in the order of a
 floating-point operation shows up as a failure.
 """
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import reference as ref
 from subgauss import _batch
 from subgauss.core_estimators import _ceil_tol
+from subgauss.seeding import _MAX_CHUNK_TRIALS, chunk_bounds
 
 COMMON = settings(deadline=None, max_examples=40)
 
@@ -48,10 +49,11 @@ def layouts(draw_, b_min=1, b_max=9):
 
 @st.composite
 def matrices(draw_, n: int):
-    """A (T, n) matrix: T at 1 or around the tile size, values from a family,
-    scaled by 1e-150..1e150 and shifted off zero, in a given memory layout."""
-    tile = _batch._tile_rows(n)
-    t = draw_(st.sampled_from(sorted({1, max(1, tile - 1), tile, tile + 1})))
+    """A (T, n) matrix: T at 1 or around the rows of a harness chunk, values
+    from a family, scaled by 1e-150..1e150 and shifted off zero, in a given
+    memory layout."""
+    rows = chunk_bounds(_MAX_CHUNK_TRIALS, n)[0][1]
+    t = draw_(st.sampled_from(sorted({1, max(1, rows - 1), rows, rows + 1})))
     family = draw_(st.sampled_from(FAMILIES))
     seed = draw_(st.integers(0, 2**32 - 1))
     scale = 10.0 ** draw_(st.integers(-150, 150))
@@ -81,8 +83,8 @@ def test_truncated_pipeline_rows_matches_reference(data):
     x, layout = data.draw(matrices(n))
     got = _batch.truncated_pipeline_rows(x, b_max)
     # The reference's clip keeps the input's memory order, so on a Fortran
-    # array its row mean sums column by column; the tiled kernel always sums
-    # each row pairwise, as on a C-ordered copy.
+    # array its row mean sums column by column; the kernel's C-ordered
+    # scratch always sums each row pairwise, as on a C-ordered copy.
     want = ref.truncated_pipeline_rows(
         np.ascontiguousarray(x) if layout == "F" else x, b_max
     )
@@ -126,19 +128,6 @@ def test_constant_rows_have_zero_variance(layout, t, mantissa, exponent):
     x = np.full((t, n), c)
     assert np.array_equal(_batch.mom_variance_rows(x, b), np.zeros(t))
     assert np.array_equal(_batch.truncated_pipeline_rows(x, b), x[:, 0])
-
-
-@pytest.mark.parametrize("n", [17, 256, 16384])
-def test_row_tiles_cover_every_row_once(n):
-    tile = _batch._tile_rows(n)
-    assert tile * n * 8 <= _batch._TILE_BYTES or tile == 1
-    t = 2 * tile + 1
-    seen = np.zeros(t, dtype=int)
-    for rows, buf in _batch._row_tiles(t, n):
-        assert buf.shape == (rows.stop - rows.start, n)
-        assert buf.flags.c_contiguous
-        seen[rows] += 1
-    assert np.array_equal(seen, np.ones(t, dtype=int))
 
 
 def test_variance_once_per_distinct_block_count(monkeypatch):

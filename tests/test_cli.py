@@ -236,6 +236,23 @@ class TestEstimateErrors:
         assert captured.out == ""
         assert "b_max must be >= 1" in captured.err
 
+    @pytest.mark.parametrize(
+        "estimator, extra, shown",
+        [("empirical", [], "inf"), ("mom", ["--delta", "0.1"], "inf"),
+         ("kurtosis", ["--b-max", "2"], "nan"),
+         ("kurtosis", ["--b-max", "2", "--kappa-bound", "3"], "nan")],
+    )
+    def test_non_finite_estimate_is_runtime_error(self, tmp_path, capsys, estimator, extra, shown):
+        # Every value is finite; the block sums overflow.
+        path = write_numbers(tmp_path, [1e308] * 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli(["estimate", "--input", path, "--estimator", estimator] + extra)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: the {estimator} estimate is {shown}: " in captured.err
+
     def test_mom_runtime_error_small_sample(self, tmp_path, capsys):
         path = write_numbers(tmp_path, [1.0, 2.0, 3.0])
         code = run_cli(["estimate", "--input", path, "--estimator", "mom", "--delta", "0.1"])

@@ -17,6 +17,7 @@ from subgauss import (
     regularity_probe,
     sample,
 )
+from subgauss import distributions, seeding
 
 
 def test_parse_laplace_moments():
@@ -336,6 +337,30 @@ def test_probe_sides_cover_everything():
 def test_probe_is_deterministic():
     d = parse_distribution("pareto:2.5,1")
     assert regularity_probe(d, 3, 10_000, 5) == regularity_probe(d, 3, 10_000, 5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["gaussian:1.5,2", "laplace:0.5", "poisson:3", "pareto:2.5,1", "student:6",
+     "lognormal:0,1", "bern2+:2,0.3", "bern2-:2,0.3", "constant:1.5"],
+)
+@pytest.mark.parametrize("j", [1, 7, 300])
+def test_probe_batches_change_no_output(monkeypatch, spec, j):
+    # Batches of _CHUNK_TARGET values continue one stream; 2^23 values
+    # draw these trials in one batch.
+    d = parse_distribution(spec)
+    trials = 300_000 // j + 1
+    sizes = []
+    real = distributions._draw
+    monkeypatch.setattr(
+        distributions, "_draw", lambda dist, size, rng: sizes.append(size) or real(dist, size, rng)
+    )
+    got = regularity_probe(d, j, trials, 17)
+    assert len(sizes) > 1 and max(sizes) <= max(j, seeding._CHUNK_TARGET)
+    sizes.clear()
+    monkeypatch.setattr(seeding, "_CHUNK_TARGET", 1 << 23)
+    assert regularity_probe(d, j, trials, 17) == got
+    assert sizes == [trials * j]
 
 
 def test_probe_rejects_bad_args():

@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import subgauss.harness as harness_module
-from subgauss import _batch
+from subgauss import _batch, seeding
 from subgauss import (
     ExperimentConfig,
     KurtosisConfig,
@@ -251,16 +252,18 @@ class TestNonFiniteErrors:
     def test_nan_in_a_trial_left_out_of_the_subsample_still_flags(self, monkeypatch):
         real = _batch.truncated_pipeline_rows
         calls = []
+        trials, cap = 2100, 37
+        shapes = [t1 - t0 for t0, t1 in seeding.chunk_bounds(trials, 2048)]
+        assert len(shapes) > 1
 
         def poisoned(chunk, b_max):
             vals = real(chunk, b_max)
             calls.append(chunk.shape[0])
-            if len(calls) == 2:
-                vals[-1] = math.nan  # trial 2099, last of the second chunk
+            if len(calls) == len(shapes):
+                vals[-1] = math.nan  # trial 2099, last row of the last chunk
             return vals
 
         monkeypatch.setattr(_batch, "truncated_pipeline_rows", poisoned)
-        trials, cap = 2100, 37
         assert 2099 not in (np.arange(cap) * trials) // cap
         for error_cap, flag in ((cap, "subsampled_quantile+nonfinite"), (trials, "nonfinite")):
             calls.clear()
@@ -268,7 +271,7 @@ class TestNonFiniteErrors:
                 GAUSS, "kurtosis", 2048, trials, (0.3, 0.05), seed=13, error_cap=error_cap
             )
             rows = run_tail_experiment(cfg).rows
-            assert calls == [2048, 52]
+            assert calls == shapes
             assert [row.flag for row in rows] == [flag, flag]
 
 
@@ -305,6 +308,60 @@ class TestChunkDraws:
         for t in range(trials):
             want = sample(dist, n, mix_seed(seed, t)).values
             assert np.array_equal(rows[t].view(np.uint64), want.view(np.uint64))  # every bit
+
+
+class TestChunkLayout:
+    """The chunk size sets memory, never report bytes: exceedances are
+    integer sums, kept errors are stored by trial index and every kernel
+    works per row."""
+
+    LOGNORMAL = parse_distribution("lognormal:0,1")
+
+    @pytest.mark.parametrize(
+        "estimator, params, error_cap",
+        [("mom", {}, ExperimentConfig.error_cap), ("kurtosis", {}, ExperimentConfig.error_cap),
+         ("combined_adaptive", {"delta_min": 2.0**-8}, 97)],
+    )
+    def test_chunk_target_changes_no_report_byte(
+        self, monkeypatch, tmp_path, estimator, params, error_cap
+    ):
+        # n * trials = 600 * 2^10 values: 150 chunks at 2^12, 3 at 2^18, 1 at 2^22.
+        def report_bytes(target, threads):
+            monkeypatch.setattr(seeding, "_CHUNK_TARGET", target)
+            cfg = ExperimentConfig(
+                self.LOGNORMAL, estimator, 1024, 600, (0.3, 0.05, 0.01), seed=21,
+                threads=threads, params=params, error_cap=error_cap,
+            )
+            report = run_tail_experiment(cfg)
+            out = []
+            for fmt in ("csv", "json"):
+                path = tmp_path / f"r.{fmt}"
+                write_report(report, fmt, path)
+                out.append(path.read_bytes())
+            return out
+
+        want = report_bytes(1 << 22, 1)
+        for target in (1 << 12, 1 << 18, 1 << 22):
+            for threads in (1, 2):
+                assert report_bytes(target, threads) == want, (target, threads)
+
+    @pytest.mark.parametrize(
+        "estimator, params", [("combined_adaptive", {}), ("kurtosis", {"kappa_bound": 1e6})]
+    )
+    def test_traced_peak_is_about_one_chunk_and_one_scratch(self, estimator, params):
+        # 64 rows of 16384: four 2 MB chunks, each scored through one 2 MB scratch.
+        cfg = ExperimentConfig(
+            parse_distribution("student:6"), estimator, 16384, 64, (0.1, 0.01), seed=3,
+            params=params,
+        )
+        run_tail_experiment(cfg)  # fill the layout caches
+        tracemalloc.start()
+        try:
+            run_tail_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20
 
 
 class TestSubsampling:

@@ -255,6 +255,18 @@ class TestQuantileKregFamily:
         f = quantile_kreg_family(s, 1)
         assert f.m == 15
 
+    def test_default_depth_where_the_default_underflows(self):
+        n = 93_000
+        assert 4.0 * math.exp(3.0 - n / 124.0) == 0.0
+        values = sample(parse_distribution("laplace:0"), n, 12).values
+        family = quantile_kreg_family(values, 1)
+        # floor(log2(1/delta_min)) - 1 with log2(1/delta_min) = (750 - 3 - ln 4)/ln 2
+        assert family.m == 1074
+        deepest = quantile_interval(values, 2.0**-1074, 1)
+        assert (family.intervals[-1].lo, family.intervals[-1].hi) == (deepest.lo, deepest.hi)
+        estimate = multiple_delta_estimate(values, "quantile_kreg")
+        assert estimate == combine(family).estimate and math.isfinite(estimate)
+
     def test_explicit_delta_min(self):
         s = sample(parse_distribution("laplace:0"), 2000, 8)
         f = quantile_kreg_family(s, 1, delta_min=2.0**-5)

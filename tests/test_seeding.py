@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subgauss import mix_seed
-from subgauss.seeding import _mix_seeds, _pcg64_states, trial_rngs
+from subgauss import seeding
+from subgauss.seeding import _mix_seeds, _pcg64_states, chunk_bounds, trial_rngs
 
 
 def test_known_values_frozen():
@@ -89,3 +91,16 @@ def test_low_bit_balance():
     # splitmix64 finalizer should leave no obvious bias in the low bit
     bits = np.array([mix_seed(99, i) & 1 for i in range(4096)])
     assert 0.45 < bits.mean() < 0.55
+
+
+@pytest.mark.parametrize("n", [1, 17, 256, 16384, 2**19])
+def test_chunk_bounds_cover_every_trial_once(n):
+    cap = seeding._MAX_CHUNK_TRIALS
+    for trials in (1, 5, cap - 1, cap, cap + 1, 3 * cap + 7):
+        bounds = chunk_bounds(trials, n)
+        assert bounds[0][0] == 0 and bounds[-1][1] == trials
+        for (_, stop), (start, _) in zip(bounds, bounds[1:]):
+            assert stop == start  # contiguous, each trial once
+        for t0, t1 in bounds:
+            assert 0 < t1 - t0 <= cap
+            assert (t1 - t0) * n <= max(n, seeding._CHUNK_TARGET)
