@@ -159,15 +159,18 @@ def quantile_kreg_family(sample, k_reg: int, delta_min: float | None = None) -> 
     """Quartile block-mean intervals at delta = 2^(-k) for k = 1..m.
 
     delta_min defaults to 4*e^(3 - n/(124*k_reg)), the smallest level the
-    quartile construction supports at this sample size.
+    quartile construction supports at this sample size, but no less than
+    2^-1075 (1,074 levels): a deeper level's delta is below every positive
+    float.
     """
     values = as_values(sample)
     n = values.size
     _kreg_check(n, k_reg)
     if delta_min is None:
         # The default's depth, in log space: the default underflows to 0.0
-        # from n of about 92,800 k_reg.
-        m = _floor_tol((n / (_REG_RATE * k_reg) - 3.0 - math.log(4.0)) / _LN2) - 1
+        # from n of about 92,800 k_reg.  No level goes below 2^-1074, the
+        # smallest positive float, so every representable delta is covered.
+        m = min(_floor_tol((n / (_REG_RATE * k_reg) - 3.0 - math.log(4.0)) / _LN2) - 1, 1074)
         if m < 1:
             raise ValueError(f"n={n} too small for a dyadic quartile family at k={k_reg}")
     else:

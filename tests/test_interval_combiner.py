@@ -255,12 +255,13 @@ class TestQuantileKregFamily:
         f = quantile_kreg_family(s, 1)
         assert f.m == 15
 
-    def test_default_depth_where_the_default_underflows(self):
-        n = 93_000
+    @pytest.mark.parametrize("n", [93_000, 100_000])
+    def test_default_depth_where_the_default_underflows(self, n):
         assert 4.0 * math.exp(3.0 - n / 124.0) == 0.0
         values = sample(parse_distribution("laplace:0"), n, 12).values
         family = quantile_kreg_family(values, 1)
-        # floor(log2(1/delta_min)) - 1 with log2(1/delta_min) = (750 - 3 - ln 4)/ln 2
+        # n = 93,000: floor((750 - 3 - ln 4)/ln 2) - 1 = 1074 levels.  Past
+        # n = 93,026 the level 2^-1075 would be 0.0, so the depth stays there.
         assert family.m == 1074
         deepest = quantile_interval(values, 2.0**-1074, 1)
         assert (family.intervals[-1].lo, family.intervals[-1].hi) == (deepest.lo, deepest.hi)
