@@ -24,10 +24,7 @@ __all__ = ["run_cli", "main"]
 
 
 def _deltas_arg(text: str) -> tuple[float, ...]:
-    out = tuple(float(tok) for tok in text.split(","))
-    if not out:
-        raise ValueError("empty delta list")
-    return out
+    return tuple(float(tok) for tok in text.split(","))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -56,12 +56,9 @@ def _block_layout(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     shared between callers and therefore read-only.
     """
     q, r = divmod(n, b)
-    first = np.arange(r, dtype=np.intp) * (q + 1)
-    rest = r * (q + 1) + np.arange(b - r, dtype=np.intp) * q
-    starts = np.concatenate([first, rest])
-    sizes = np.concatenate(
-        [np.full(r, q + 1, dtype=np.intp), np.full(b - r, q, dtype=np.intp)]
-    )
+    index = np.arange(b, dtype=np.intp)
+    starts = index * q + np.minimum(index, r)  # block i < r holds q + 1 values
+    sizes = np.diff(starts, append=n)
     starts.flags.writeable = False
     sizes.flags.writeable = False
     return starts, sizes
@@ -117,9 +114,7 @@ def partition_blocks(n: int, b: int) -> BlockPartition:
     if b < 1 or b > n:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
     starts, sizes = _block_layout(n, b)
-    blocks = tuple(
-        range(int(s), int(s + m)) for s, m in zip(starts.tolist(), sizes.tolist())
-    )
+    blocks = tuple(range(s, s + m) for s, m in zip(starts.tolist(), sizes.tolist()))
     return BlockPartition(n=n, b=b, blocks=blocks)
 
 
@@ -142,13 +137,17 @@ def quantile_select(values, alpha: float) -> float:
 
 def _block_means(values: np.ndarray, b: int) -> np.ndarray:
     starts, sizes = _block_layout(values.size, b)
-    return np.add.reduceat(values, starts) / sizes
+    means = np.add.reduceat(values, starts)
+    means /= sizes
+    return means
 
 
 def _mom(values: np.ndarray, b: int) -> float:
     """Median of the b block means of a validated sample (1 <= b <= n)."""
+    means = _block_means(values, b)
     # quantile_select(means, 0.5) takes 0-based rank ceil(b/2) - 1 = (b-1)//2.
-    return float(np.partition(_block_means(values, b), (b - 1) // 2)[(b - 1) // 2])
+    means.partition((b - 1) // 2)
+    return float(means[(b - 1) // 2])
 
 
 def median_of_means_raw(sample, b: int) -> float:
@@ -183,8 +182,10 @@ def _check_range(name: str, value: float, log_floor: float) -> None:
         raise ValueError(f"{name}={value!r} outside the valid range [{shown}, 1)")
 
 
+@functools.lru_cache(maxsize=256)
 def _mom_blocks(n: int, delta: float) -> int:
-    """Block count of median_of_means at (n, delta); ValueError outside its range."""
+    """Block count of median_of_means at (n, delta); ValueError outside its
+    range.  Cached: calls repeat a few (n, delta) pairs."""
     if n < 4:
         raise ValueError("median_of_means needs n >= 4")
     _check_range("delta", delta, 1.0 - 0.5 * n)
@@ -223,14 +224,15 @@ def pairwise_block_variance(values) -> float:
 def _block_variance(values: np.ndarray, b: int) -> float:
     """mom_variance of a validated sample whose blocks have >= 2 points."""
     q, r = divmod(values.size, b)
-    split = r * (q + 1)
-    variances = []
-    for blocks in (values[:split].reshape(r, q + 1), values[split:].reshape(b - r, q)):
+    variances = np.empty(b)
+    for blocks, out in ((values[: r * (q + 1)].reshape(r, q + 1), variances[:r]),
+                        (values[r * (q + 1) :].reshape(b - r, q), variances[r:])):
         if blocks.size:
-            c = blocks - blocks.mean(axis=1)[:, None]
-            ss = (c[:, None, :] @ c[:, :, None]).reshape(-1)
-            variances.append(np.maximum(ss / (blocks.shape[1] - 1), 0.0))
-    return float(np.partition(np.concatenate(variances), (b - 1) // 2)[(b - 1) // 2])
+            c = blocks - (np.add.reduce(blocks, axis=1) / blocks.shape[1])[:, None]
+            np.divide((c[:, None, :] @ c[:, :, None]).reshape(-1), blocks.shape[1] - 1, out=out)
+    np.maximum(variances, 0.0, out=variances)
+    variances.partition((b - 1) // 2)
+    return float(variances[(b - 1) // 2])
 
 
 def mom_variance(sample, b: int) -> float:
@@ -241,10 +243,10 @@ def mom_variance(sample, b: int) -> float:
     provided every block has at least 2 points.
 
     Gather-free: the n mod b blocks of q+1 values and the rest of q values
-    are two reshaped views, centred by their `.mean(axis=1)` (the pairwise
-    sum and divide of a block's `.mean()`) and squared by stacked `c @ c`
-    (the BLAS dot of `centered @ centered`), so every block variance keeps
-    the bits of pairwise_block_variance on that block.
+    are two reshaped views, centred by their row sums over the row length
+    (the pairwise sum and divide of a block's `.mean()`) and squared by
+    stacked `c @ c` (the BLAS dot of `centered @ centered`), so every block
+    variance keeps the bits of pairwise_block_variance on that block.
     """
     values = as_values(sample)
     n = values.size

@@ -93,7 +93,8 @@ def as_values(sample) -> np.ndarray:
     arr = np.asarray(sample, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("expected a nonempty one-dimensional sample")
-    if not np.isfinite(arr).all():
+    # count_nonzero, unlike .all(), is one C call; a sum would warn on overflow.
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError("sample values must all be finite")
     return arr
 

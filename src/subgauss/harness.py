@@ -131,10 +131,9 @@ def _validate_deltas(deltas) -> None:
     for d in deltas:
         if not 0.0 < d < 1.0:
             raise ValueError(f"delta {d!r} outside (0, 1)")
-    if len(deltas) >= 2:
-        pairs = list(zip(deltas, deltas[1:]))
-        if not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
-            raise ValueError("deltas must be strictly increasing or decreasing")
+    pairs = list(zip(deltas, deltas[1:]))
+    if not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
+        raise ValueError("deltas must be strictly increasing or decreasing")
 
 
 def _kernel(name: str, *args):

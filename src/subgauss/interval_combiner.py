@@ -114,16 +114,15 @@ def _check_sigma2_hi(sigma2_hi: float) -> None:
         raise ValueError("sigma2_hi must be finite and > 0")
 
 
-def _centered_family(values, m: int, widths) -> IntervalFamily:
-    """Interval k is the median-of-means at delta = 2^(-k), one pass per block
-    count, plus or minus widths[k-1] * sqrt((1 + k ln 2)/n)."""
+def _centers(values, m: int) -> list[float]:
+    """Median-of-means at delta = 2^(-k), k = 1..m: one pass per block count."""
     b_of = _level_blocks(m)[0]
     center_of = {b: _mom(values, b) for b in set(b_of)}
-    intervals = []
-    for k, (b, width) in enumerate(zip(b_of, widths), start=1):
-        radius = width * _level_radius(k, values.size)
-        intervals.append(ConfidenceInterval(center_of[b] - radius, center_of[b] + radius))
-    return IntervalFamily(tuple(intervals))
+    return [center_of[b] for b in b_of]
+
+
+def _centered_family(centers, radii) -> IntervalFamily:
+    return IntervalFamily(tuple(ConfidenceInterval(c - r, c + r) for c, r in zip(centers, radii)))
 
 
 def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFamily:
@@ -136,7 +135,9 @@ def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFa
     values = as_values(sample)
     _check_sigma2_hi(sigma2_hi)
     m = _family_depth(delta_min, values.size)
-    return _centered_family(values, m, [_MOM_WIDTH * math.sqrt(sigma2_hi)] * m)
+    width = _MOM_WIDTH * math.sqrt(sigma2_hi)
+    radii = [width * _level_radius(k, values.size) for k in range(1, m + 1)]
+    return _centered_family(_centers(values, m), radii)
 
 
 def adaptive_family(sample, delta_min: float) -> IntervalFamily:
@@ -144,7 +145,8 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
 
     The radius at level k substitutes 2*sqrt(mom_variance(sample, b_k)) for
     the known sigma bound, with b_k = max(2, ceil(k ln 2)) blocks, so no
-    variance knowledge is required.
+    variance knowledge is required.  A level whose centre or radius is not
+    finite (the sample's block sums overflow) is a ValueError.
     """
     values = as_values(sample)
     m = _family_depth(delta_min, values.size)
@@ -152,7 +154,14 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
     # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
     nu2_of = {b: _block_variance(values, b) for b in set(b_of)}
     a = _MOM_WIDTH * 2.0
-    return _centered_family(values, m, [a * math.sqrt(nu2_of[b]) for b in b_of])
+    n = values.size
+    radii = [a * math.sqrt(nu2_of[b]) * _level_radius(k, n) for k, b in enumerate(b_of, 1)]
+    centers = _centers(values, m)
+    for k, (c, r) in enumerate(zip(centers, radii), start=1):
+        if not math.isfinite(c - r):  # r < 1e160 when finite, so c - r cannot overflow
+            raise ValueError(f"adaptive level {k} (delta=2^-{k}) has centre {c!r} and radius "
+                             f"{r!r}: the sample's block sums overflow float64")
+    return _centered_family(centers, radii)
 
 
 def quantile_kreg_family(sample, k_reg: int, delta_min: float | None = None) -> IntervalFamily:

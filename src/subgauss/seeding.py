@@ -32,8 +32,9 @@ _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
 
 
 def mix_seed(master: int, index: int) -> int:
@@ -64,64 +65,66 @@ def _mix_seeds(master: int, start: int, stop: int) -> np.ndarray:
     return z
 
 
-def _hash_consts(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
-    """(xor, multiplier) pairs of SeedSequence's evolving hash constant.
-
-    The constant advances by a fixed multiplication at every use, whatever
-    the data, so its sequence is the same for every seed.
-    """
-    out = []
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """Xor words (row 0) and multipliers (row 1), as uint32, of SeedSequence's
+    hash constant at its first `count` uses.  It advances by a fixed product
+    at every use, whatever the data, so the sequence is the same for every seed."""
+    seq = [init]
     for _ in range(count):
-        nxt = (init * mult) & _MASK32
-        out.append((np.uint32(init), np.uint32(nxt)))
-        init = nxt
-    return out
+        seq.append((seq[-1] * mult) & _MASK32)
+    return np.array([seq[:-1], seq[1:]], dtype=np.uint32)
 
 
-# mix_entropy uses the A constant 4 times to load the pool and
-# 4 * 3 times to cross-mix it; generate_state(4, uint64) uses 8 B constants.
-_HASH_A = _hash_consts(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
-_HASH_B = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
-_SHIFT = np.uint32(16)
-
-
-def _hashmix(value: np.ndarray, const: tuple[np.uint32, np.uint32]) -> np.ndarray:
-    value = value ^ const[0]
-    value *= const[1]
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix on a fresh array; consts[0] and consts[1] broadcast."""
+    value = value ^ consts[0]
+    value *= consts[1]
     value ^= value >> _SHIFT
     return value
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.uint32(_MIX_MULT_L) * x
-    out -= np.uint32(_MIX_MULT_R) * y
-    out ^= out >> _SHIFT
-    return out
+# mix_entropy uses A 4 times to load the pool and 4 * 3 times to cross-mix it
+# (as columns); generate_state(4, uint64) uses B 8 times, as [word j][low, high].
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))[:, :, None]
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL).reshape(2, _POOL, 2)
+# Loading hashes the seed's two words with A_0 and A_1, and the zero padding
+# with A_2 and A_3, so pool words 2 and 3 start as constants.
+_PAD = _hashmix(np.zeros((2, 1), dtype=np.uint32), _HASH_A[:, 2:4])
+# Round src hashes word src with the next A constant for each other word in
+# turn; it updates all four words and restores word src (a filler constant).
+_ROUNDS = [np.insert(_HASH_A[:, 4 + 3 * src : 7 + 3 * src], src, 0, axis=1) for src in range(_POOL)]
 
 
 def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
     """SeedSequence(s).generate_state(4, np.uint64) for every uint64 seed s.
 
-    SeedSequence splits an integer seed into little-endian uint32 words and
-    pads the pool with zeros, so a seed below 2^32 (one word) hashes exactly
-    like the two-word form with a zero high word.
+    Each hashing step is one operation on the (4, T) uint32 pool; the result
+    is C-contiguous (T, 4).  SeedSequence pads its pool with zeros, so a seed
+    below 2^32 (one uint32 word) hashes like two words with a zero high word.
     """
-    hash_a = iter(_HASH_A)
-    words = [
-        (seeds & np.uint64(_MASK32)).astype(np.uint32),
-        (seeds >> np.uint64(32)).astype(np.uint32),
-    ]
-    words += [np.zeros_like(words[0])] * (_POOL - len(words))
-    pool = [_hashmix(w, next(hash_a)) for w in words]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(hash_a)))
-    state = np.empty((seeds.size, 2 * _POOL), dtype=np.uint32)
-    for i, const in enumerate(_HASH_B):
-        state[:, i] = _hashmix(pool[i % _POOL], const)
-    # Consecutive uint32 words pair into uint64 words, low word first.
-    return (state[:, 1::2].astype(np.uint64) << np.uint64(32)) | state[:, 0::2]
+    t = seeds.size
+    pool = np.empty((_POOL, t), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(_MASK32)
+    pool[1] = seeds >> np.uint64(32)
+    pool[:2] = _hashmix(pool[:2], _HASH_A[:, :2])
+    pool[2:] = _PAD
+    for src, consts in enumerate(_ROUNDS):
+        # mix(pool[dst], hashmix(pool[src])) for every dst != src at once
+        hashed = _hashmix(pool[src], consts)
+        hashed *= _MIX_R
+        mixed = pool * _MIX_L
+        mixed -= hashed
+        mixed ^= mixed >> _SHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    # uint32 word i hashes pool word i % 4 with B_i; as [t][j][low, high]
+    # the pool words are (0, 1), (2, 3), (0, 1), (2, 3).
+    words = _hashmix(np.tile(pool.T.reshape(t, 2, 2), (1, 2, 1)), _HASH_B)
+    states = np.empty((t, _POOL), dtype=np.uint64)
+    states[...] = words[..., 1]
+    states <<= np.uint64(32)
+    states |= words[..., 0]
+    return states
 
 
 class _FixedState(ISeedSequence):
@@ -133,9 +136,13 @@ class _FixedState(ISeedSequence):
         self._words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != self._words.size or np.dtype(dtype) != np.uint64:
+        words = self._words
+        if n_words != words.size or np.dtype(dtype) != np.uint64:
             raise ValueError("a precomputed state serves PCG64 seeding only")
-        return self._words
+        # PCG64 reads the words by raw pointer: a strided view seeds another stream.
+        if words.dtype != np.uint64 or not words.flags.c_contiguous:
+            raise ValueError("a precomputed state must be C-contiguous native uint64 words")
+        return words
 
 
 def trial_rngs(master: int, start: int, stop: int):
@@ -154,10 +161,10 @@ def trial_rngs(master: int, start: int, stop: int):
 def chunk_bounds(trials: int, n: int) -> list[tuple[int, int]]:
     """(first, stop) trial ranges of the chunks of about _CHUNK_TARGET values.
 
-    Each chunk holds at most max(n, _CHUNK_TARGET) values and
-    _MAX_CHUNK_TRIALS rows.  This is the one working-set policy of the
-    bulk draws: a chunk plus one scratch of its size fits one core's L2;
-    kernels allocate scratch the size of their input.
+    Each chunk holds at most max(n, _CHUNK_TARGET) values (2 MiB of float64
+    when n <= 2^18) and _MAX_CHUNK_TRIALS rows.  This is the one working-set
+    policy of the bulk draws; kernels allocate scratch the size of their
+    input, so a chunk and one scratch take up to 4 MiB.
     """
     step = max(1, min(_MAX_CHUNK_TRIALS, _CHUNK_TARGET // n))
     return [(t0, min(t0 + step, trials)) for t0 in range(0, trials, step)]

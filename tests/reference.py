@@ -150,6 +150,11 @@ def median_of_means(values: np.ndarray, b: int) -> float:
     return quantile_select(np.add.reduceat(values, starts) / sizes, 0.5)
 
 
+def median_of_means_at(values: np.ndarray, delta: float) -> float:
+    """median_of_means at a confidence level: b = max(1, ceil(ln(1/delta)))."""
+    return median_of_means(values, max(1, _ceil_tol(-math.log(delta))))
+
+
 def mom_variance(values: np.ndarray, b: int) -> float:
     part = partition_blocks(values.size, b)
     variances = [
@@ -188,6 +193,11 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
             2.0 * math.sqrt(2.0) * math.e * 2.0 * math.sqrt(nu2_of[k - 1])
             * math.sqrt((1.0 + k * _LN2) / n)
         )
+        if not (math.isfinite(center) and math.isfinite(radius)):
+            raise ValueError(
+                f"adaptive level {k} (delta=2^-{k}) has centre {center!r} and radius "
+                f"{radius!r}: the sample's block sums overflow float64"
+            )
         intervals.append(ConfidenceInterval(center - radius, center + radius))
     return IntervalFamily(tuple(intervals))
 

@@ -253,6 +253,41 @@ class TestEstimateErrors:
         assert captured.out == ""
         assert f"error: the {estimator} estimate is {shown}: " in captured.err
 
+    def test_adaptive_overflow_names_the_overflow(self, tmp_path, capsys):
+        # The level radii are not finite: the message names the level and
+        # the overflow, not an interval with NaN endpoints.
+        path = write_numbers(tmp_path, [1e308] * 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli(["estimate", "--input", path, "--estimator", "combined_adaptive",
+                            "--delta-min", "0.1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: adaptive level 1 (delta=2^-1) has centre inf and radius inf: "
+            "the sample's block sums overflow float64\n"
+        )
+
+    def test_mom_overflow_stderr(self, tmp_path):
+        # In a fresh interpreter, with the default warning filters: one
+        # overflow warning from the block sums, then the error; nothing else.
+        path = write_numbers(tmp_path, [1e308] * 8)
+        script = "import sys, subgauss\nsys.exit(subgauss.run_cli(sys.argv[1:]))\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "estimate", "--input", path, "--estimator", "mom",
+             "--delta", "0.1"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        # A warning is its location and text, then the source line.
+        assert len(lines) == 3 and lines[1].startswith("  ")
+        assert lines[0].endswith(": RuntimeWarning: overflow encountered in reduceat")
+        assert lines[2] == "error: the mom estimate is inf: the input's sums overflow float64"
+
     def test_mom_runtime_error_small_sample(self, tmp_path, capsys):
         path = write_numbers(tmp_path, [1.0, 2.0, 3.0])
         code = run_cli(["estimate", "--input", path, "--estimator", "mom", "--delta", "0.1"])

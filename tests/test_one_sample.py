@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 import reference as ref
 from test_batch import FAMILIES, draw
 from subgauss import interval_combiner, kurtosis_pipeline
-from subgauss.core_estimators import median_of_means_raw, mom_variance
+from subgauss.core_estimators import (
+    median_of_means,
+    median_of_means_raw,
+    mom_variance,
+    quantile_interval_raw,
+)
 
 COMMON = settings(deadline=None, max_examples=60)
 
@@ -102,3 +107,83 @@ def test_constant_blocks_have_zero_variance():
         x = np.full(n, 3.0 * 2.0**-600)
         assert mom_variance(x, b) == 0.0 == ref.mom_variance(x, b)
         assert math.copysign(1.0, mom_variance(x, b)) == 1.0
+
+
+@st.composite
+def mom_deltas(draw_, n: int):
+    """A delta in median_of_means's range [e^(1 - n/2), 1) at n, edges included."""
+    floor = math.exp(1.0 - 0.5 * n)
+    return draw_(st.one_of(
+        st.sampled_from([floor, floor * (1.0 - 1e-12), 1.0 - 2.0**-53]
+                        + [d for d in (0.5, 0.05) if d >= floor]),
+        st.floats(1e-9, 0.5 * n - 1.0).map(lambda u: math.exp(-u)),
+        st.integers(1, max(1, int((0.5 * n - 1.0) / math.log(2.0)))).map(lambda k: 2.0**-k),
+    ))
+
+
+@COMMON
+@given(data=st.data())
+def test_median_of_means_matches_reference(data):
+    # Rows of a read-only matrix, as infvar_stress passes them; the
+    # estimator partitions its own block means, never the sample.
+    n = data.draw(st.integers(4, 600))
+    rows = np.stack([data.draw(samples(n)) for _ in range(2)])
+    rows.flags.writeable = False
+    before = rows.copy()
+    for row in rows:
+        delta = data.draw(mom_deltas(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert bits(median_of_means, row, delta) == bits(ref.median_of_means_at, row, delta)
+    assert np.array_equal(rows.view(np.uint64), before.view(np.uint64))
+
+
+def test_median_of_means_delta_messages():
+    # n = 100: the range is [e^-49, 1).  Each message is raised afresh,
+    # also after a valid call at the same n.
+    x = np.arange(100.0)
+    floor = "5.242885663363464e-22"
+    shown = ["nan", "0.0", "-0.0", "1.0", "5.2428856633529785e-22", "5e-324"]
+    for _ in range(2):
+        assert median_of_means(x, 0.5) == 49.5
+        for text in shown:
+            message = f"delta={text} outside the valid range [{floor}, 1)"
+            assert bits(median_of_means, x, float(text)) == ("error", message)
+    # The range edge and the 1e-12 slack below it are accepted.
+    assert median_of_means(x, 5.242885663363464e-22) == 50.5
+    assert median_of_means(x, 5.242885663358221e-22) == 50.5
+    assert median_of_means(x, 1.0 - 2.0**-53) == 49.5
+    assert bits(median_of_means, x[:3], 0.5) == ("error", "median_of_means needs n >= 4")
+    bad = x.copy()
+    bad[7] = math.nan
+    assert bits(median_of_means, bad, 0.5) == ("error", "sample values must all be finite")
+
+
+# Finite inputs whose block sums overflow: the value and every warning
+# (category and text, in order) of each public one-sample call.
+OVERFLOW_CASES = [
+    ("max", median_of_means, (0.1,), "inf", ["reduceat"]),
+    ("max", median_of_means_raw, (2,), "inf", ["reduceat"]),
+    ("max", mom_variance, (2,), "inf", ["reduce"]),
+    ("max", quantile_interval_raw, (2,), ["inf", "inf"], ["reduceat"]),
+    ("signed", median_of_means, (0.1,), (1e308 / 3).hex(), ["reduceat"]),
+    ("signed", median_of_means_raw, (2,), "0x0.0p+0", []),
+    ("signed", mom_variance, (2,), "inf", ["reduce"]),
+    ("signed", quantile_interval_raw, (2,), ["0x0.0p+0", "0x0.0p+0"], []),
+]
+
+
+def test_overflow_warnings_are_pinned():
+    inputs = {"max": np.full(8, 1e308), "signed": np.array([1e308, 1e308, -1e308, -1e308] * 2)}
+    for name, fn, args, value, ufuncs in OVERFLOW_CASES:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = fn(inputs[name], *args)
+        if isinstance(got, tuple) or hasattr(got, "lo"):
+            got = [got.lo.hex(), got.hi.hex()]
+        else:
+            got = got.hex()
+        assert got == value, (name, fn.__name__)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, f"overflow encountered in {u}") for u in ufuncs
+        ], (name, fn.__name__)

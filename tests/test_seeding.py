@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from subgauss import mix_seed
 from subgauss import seeding
-from subgauss.seeding import _mix_seeds, _pcg64_states, chunk_bounds, trial_rngs
+from subgauss.seeding import _FixedState, _mix_seeds, _pcg64_states, chunk_bounds, trial_rngs
 
 
 def test_known_values_frozen():
@@ -49,6 +49,58 @@ def test_trial_rngs_match_default_rng(master, start, count):
         assert np.array_equal(rng.random(3), ref.random(3))
         assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
         assert np.array_equal(rng.integers(0, 2**63, 2), ref.integers(0, 2**63, 2))
+
+
+def seed_sequence_states(seeds) -> np.ndarray:
+    """The (T, 4) uint64 PCG64 states numpy's own SeedSequence derives."""
+    rows = [np.random.SeedSequence(int(s)).generate_state(4, np.uint64) for s in seeds]
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), 4)
+
+
+def assert_states_match(seeds):
+    got = _pcg64_states(seeds)
+    assert got.shape == (seeds.size, 4) and got.dtype == np.uint64
+    assert got.flags.c_contiguous  # each row goes to PCG64 by raw pointer
+    assert np.array_equal(got, seed_sequence_states(seeds))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 20, 4097])
+def test_pcg64_states_match_seed_sequence(count):
+    # 20 is one stress-test call, 4097 one past the largest chunk.
+    assert_states_match(_mix_seeds(2024, 5, 5 + count))
+
+
+def test_pcg64_states_at_word_boundaries():
+    # One-word and two-word seeds, and the extremes of each word.
+    edges = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    assert_states_match(np.array(edges, dtype=np.uint64))
+    assert_states_match(np.array(edges[::-1] * 3, dtype=np.uint64))
+
+
+def test_empty_trial_range_yields_nothing():
+    for master, t in ((0, 0), (7, 12), (2**64 - 1, 2**32)):
+        assert list(trial_rngs(master, t, t)) == []
+
+
+def test_fixed_state_rejects_strided_words():
+    # PCG64 reads the state through its raw data pointer: a strided view of
+    # the right four words would seed another stream without any error.
+    states = _pcg64_states(_mix_seeds(11, 0, 3))
+    ref = np.random.default_rng(mix_seed(11, 0)).random(4)
+    views = [np.asfortranarray(states)[0], np.repeat(states[0], 2)[::2], states.T.copy().T[0]]
+    for words in views:
+        assert np.array_equal(words, states[0]) and not words.flags.c_contiguous
+        try:
+            rng = np.random.Generator(np.random.PCG64(_FixedState(words)))
+        except ValueError as exc:
+            assert "C-contiguous" in str(exc)
+        else:
+            assert np.array_equal(rng.random(4), ref)
+    swapped = states[0].astype(states.dtype.newbyteorder())
+    with pytest.raises(ValueError, match="C-contiguous"):
+        np.random.PCG64(_FixedState(swapped))
+    contiguous = np.random.Generator(np.random.PCG64(_FixedState(states[0])))
+    assert np.array_equal(contiguous.random(4), ref)
 
 
 def test_trial_rngs_is_lazy():
