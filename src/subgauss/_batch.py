@@ -21,11 +21,12 @@ import math
 import numpy as np
 
 from .core_estimators import _LN2, _MOM_WIDTH, _block_layout, _ceil_tol, _level_radius
+from .core_estimators import _mom_count, _rank
+
 
 def _rank0(b: int, alpha: float) -> int:
-    # 0-based index of the clamped 1-based ceil(alpha*b) rank, matching
-    # quantile_select.
-    return min(max(_ceil_tol(alpha * b), 1), b) - 1
+    # 0-based index of quantile_select's rank.
+    return _rank(alpha, b) - 1
 
 
 def _segment_sums(chunk: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -125,8 +126,8 @@ def combine_rows(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _mom_block_count(k: int) -> int:
-    # same arithmetic as median_of_means at delta = 2^-k
-    return max(1, _ceil_tol(-math.log(2.0**-k)))
+    # block count of median_of_means at delta = 2^-k
+    return _mom_count(2.0**-k)
 
 
 def _variance_block_count(k: int) -> int:

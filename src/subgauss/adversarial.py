@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import Sample, as_values
+from .distributions import Sample, _fill_family, as_values
 from .seeding import chunk_bounds, trial_rngs
 
 # Not called here, but perfbench/spans.py wraps the seeding layer under this
@@ -51,11 +51,21 @@ class CoupledSample:
             raise ValueError("nonzero x entries must all equal one positive c")
 
 
+def _coupled_rows(c: float, p: float, n: int, rngs, rows: int):
+    """(x, y) of shape (rows, n): row i of x is the bern2+:c,p draw of the i-th
+    Generator of rngs, and y = 0 - x."""
+    xs = np.empty((rows, n))
+    _fill_family("bern2+", (c, p), xs, rngs)
+    return xs, np.subtract(0.0, xs)  # not -xs, which would make the zeros -0.0
+
+
 def coupled_scaled_bernoulli(c: float, p: float, n: int, seed: int) -> CoupledSample:
     """Draw n i.i.d. coupled pairs: (c, -c) with probability p, else (0, 0).
 
-    The marginals are the two-point laws with means +pc and -pc; the full
-    vectors coincide exactly when no pair fires, probability (1-p)^n.
+    x is the ``bern2+:c,p`` draw of ``default_rng(seed)``, the values of
+    ``sample(bern2+:c,p, n, seed)``, and y = 0 - x.  The marginals are the
+    two-point laws with means +pc and -pc; the full vectors coincide exactly
+    when no pair fires, probability (1-p)^n.
     """
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"c={c!r} must be finite and > 0")
@@ -63,10 +73,8 @@ def coupled_scaled_bernoulli(c: float, p: float, n: int, seed: int) -> CoupledSa
         raise ValueError("p must lie in [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    hits = np.random.default_rng(seed).random(n) < p
-    x = np.where(hits, c, 0.0)
-    y = np.where(hits, -c, 0.0)
-    return CoupledSample(Sample(x), Sample(y))
+    xs, ys = _coupled_rows(c, p, n, (np.random.default_rng(seed),), 1)
+    return CoupledSample(Sample(xs[0]), Sample(ys[0]))
 
 
 def scaled_bernoulli_moment(c: float, p: float, alpha: float) -> float:
@@ -82,18 +90,6 @@ def scaled_bernoulli_moment(c: float, p: float, alpha: float) -> float:
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     return c ** (1.0 + alpha) * p * (1.0 - p) * (p**alpha + (1.0 - p) ** alpha)
-
-
-def _coupling_hits(p: float, n: int, seed: int, t0: int, t1: int) -> np.ndarray:
-    """Which of the n pairs fire, for trials t0..t1-1: a (t1-t0, n) bool array.
-
-    Row t is ``default_rng(mix_seed(seed, t)).random(n) < p``, the draw of
-    coupled_scaled_bernoulli(c, p, n, mix_seed(seed, t)).
-    """
-    u = np.empty((t1 - t0, n))
-    for row, rng in zip(u, trial_rngs(seed, t0, t1)):
-        rng.random(out=row)
-    return u < p
 
 
 def infvar_stress(
@@ -117,11 +113,13 @@ def infvar_stress(
     noise.  That inequality is the mechanism behind minimax lower bounds for
     infinite-variance classes.
 
-    Trial t is coupled_scaled_bernoulli(c, p, n, mix_seed(seed, t)), drawn
-    from ``default_rng(mix_seed(seed, t))``.  The trials are seeded and drawn
-    in chunks, as the harness does, and the estimator is called on x, then
-    y, of trial 0, then of trial 1, and so on; each argument is a read-only
-    float64 array of length n.
+    Trial t is coupled_scaled_bernoulli(c, p, n, mix_seed(seed, t)), with
+    c = (M / scaled_bernoulli_moment(1, p, alpha))^(1/(1+alpha)).  The
+    trials are seeded and drawn in chunks through the ``bern2+`` family's
+    fill, as the harness does, and the estimator is called on x, then y, of
+    trial 0, then of trial 1, and so on; each argument is a read-only
+    float64 array of length n.  The family is drawn by its token, not a
+    parsed spec, whose variance c*c*p*(1-p) overflows at c*c for tiny p.
 
     Returns (failure_rate_plus, failure_rate_minus, match_rate).  By default
     p = (2/n) ln(2/delta); pass p to explore other couplings.
@@ -144,7 +142,7 @@ def infvar_stress(
             f"coupling probability p={p:.6g} outside (0, 1); delta too small for n"
         )
     try:
-        c = (M / (p * (1.0 - p) * (p**alpha + (1.0 - p) ** alpha))) ** (1.0 / (1.0 + alpha))
+        c = (M / scaled_bernoulli_moment(1.0, p, alpha)) ** (1.0 / (1.0 + alpha))
         radius = (M ** (1.0 / alpha) * log_term / n) ** (alpha / (1.0 + alpha))
     except OverflowError as exc:
         raise ValueError(
@@ -161,10 +159,8 @@ def infvar_stress(
     fail_minus = 0
     match = 0
     for t0, t1 in chunk_bounds(trials, n):
-        hits = _coupling_hits(p, n, seed, t0, t1)
-        match += int(np.count_nonzero(~hits.any(axis=1)))
-        xs = np.where(hits, c, 0.0)
-        ys = np.where(hits, -c, 0.0)  # not -xs, which would make the zeros -0.0
+        xs, ys = _coupled_rows(c, p, n, trial_rngs(seed, t0, t1), t1 - t0)
+        match += int(np.count_nonzero(~xs.any(axis=1)))
         xs.flags.writeable = False
         ys.flags.writeable = False
         for xv, yv in zip(xs, ys):

@@ -33,6 +33,7 @@ _LN2 = math.log(2.0)
 _MOM_WIDTH = 2.0 * math.sqrt(2.0) * math.e  # the constant L of median_of_means
 _REG_RATE = 124.0  # block budget per regularity index: b*k <= n/2 with b ~ 62 ln(3/delta)
 _REG_MIN_FACTOR = (3.0 + math.log(4.0)) * _REG_RATE
+_REL_SLACK = 1e-12  # relative slack of a test at a range floor, for float rounding
 
 
 def _ceil_tol(x: float, tol: float = 1e-9) -> int:
@@ -46,6 +47,11 @@ def _ceil_tol(x: float, tol: float = 1e-9) -> int:
 
 def _floor_tol(x: float, tol: float = 1e-9) -> int:
     return -_ceil_tol(-x, tol)
+
+
+def _rank(alpha: float, m: int) -> int:
+    """1-based rank ceil(alpha*m) of the alpha-quantile of m values, in [1, m]."""
+    return min(max(_ceil_tol(alpha * m), 1), m)
 
 
 @functools.lru_cache(maxsize=256)
@@ -130,8 +136,7 @@ def quantile_select(values, alpha: float) -> float:
         raise ValueError("values must be a nonempty one-dimensional sequence")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    m = arr.size
-    r = min(max(_ceil_tol(alpha * m), 1), m)
+    r = _rank(alpha, arr.size)
     return float(np.partition(arr, r - 1)[r - 1])
 
 
@@ -169,14 +174,14 @@ def _level_radius(k: int, n: int) -> float:
 
 
 def _check_range(name: str, value: float, log_floor: float) -> None:
-    """ValueError unless e^log_floor <= value < 1, with 1e-12 relative slack.
+    """ValueError unless e^log_floor <= value < 1, with _REL_SLACK at the floor.
 
     A floor that underflows to 0.0 lies below every positive float, so there
     the test is value > 0 and the message shows the floor as exp(log_floor).
     Zero and NaN are rejected either way.
     """
     floor = math.exp(log_floor)
-    ok = value >= floor * (1.0 - 1e-12) if floor > 0.0 else value > 0.0
+    ok = value >= floor * (1.0 - _REL_SLACK) if floor > 0.0 else value > 0.0
     if not (ok and value < 1.0):
         shown = repr(floor) if floor > 0.0 else f"exp({log_floor!r})"
         raise ValueError(f"{name}={value!r} outside the valid range [{shown}, 1)")
@@ -190,6 +195,11 @@ def _mom_blocks(n: int, delta: float) -> int:
         raise ValueError("median_of_means needs n >= 4")
     _check_range("delta", delta, 1.0 - 0.5 * n)
     # The delta range keeps b <= n/2, so b needs no check of its own.
+    return _mom_count(delta)
+
+
+def _mom_count(delta: float) -> int:
+    """ceil(ln(1/delta)), at least 1: the block count rule of median_of_means."""
     return max(1, _ceil_tol(-math.log(delta)))
 
 
@@ -273,7 +283,7 @@ def _kreg_check(n: int, k: int) -> None:
     """The delta-free preconditions of quantile_interval; ValueError if unmet."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n < _REG_MIN_FACTOR * k * (1.0 - 1e-12):
+    if n < _REG_MIN_FACTOR * k * (1.0 - _REL_SLACK):
         raise ValueError(
             f"need n >= {_REG_MIN_FACTOR * k:.1f} for regularity index k={k}, got n={n}"
         )

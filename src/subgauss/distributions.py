@@ -8,6 +8,7 @@ degenerate distributions and may be infinite for sufficiently heavy tails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -155,26 +156,17 @@ def _moments_lognormal(mu, sigma):
     return mean, var, kappa
 
 
-def _bern2_core(c, p):
+def _moments_bern2(sign, c, p):
+    # bern2+ (sign 1) and bern2- (sign -1): sign*C with probability P, else 0.
     if c <= 0.0:
         raise ValueError("bern2 needs C > 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("bern2 needs P in [0, 1]")
     var = c * c * p * (1.0 - p)
-    if var == 0.0:
-        return 0.0, 1.0
+    if var == 0.0:  # a -0.0 (at P = -0.0) is reported as 0.0
+        return sign * p * c, 0.0, 1.0
     kappa = ((1.0 - p) ** 3 + p**3) / (p * (1.0 - p))
-    return var, kappa
-
-
-def _moments_bern2_plus(c, p):
-    var, kappa = _bern2_core(c, p)
-    return p * c, var, kappa
-
-
-def _moments_bern2_minus(c, p):
-    var, kappa = _bern2_core(c, p)
-    return -p * c, var, kappa
+    return sign * p * c, var, kappa
 
 
 def _moments_constant(c):
@@ -268,18 +260,10 @@ def _pareto_inverse_cdf(block, p):
     np.subtract(block, alpha * scale / (alpha - 1.0), out=block)
 
 
-def _select(block, prob, value):
-    hit = block < prob
+def _select(sign, block, p):
+    hit = block < p[1]
     block.fill(0.0)
-    np.copyto(block, value, where=hit)
-
-
-def _bern2_plus(block, p):
-    _select(block, p[1], p[0])
-
-
-def _bern2_minus(block, p):
-    _select(block, p[1], -p[0])
+    np.copyto(block, sign * p[0], where=hit)
 
 
 def _constant(block, p):
@@ -302,15 +286,23 @@ _FAMILIES = {
     "pareto": _Family("pareto", 2, _moments_pareto, _fill_uniform, _pareto_inverse_cdf),
     "student": _Family("student_t", 1, _moments_student, _fill_student, None),
     "lognormal": _Family("lognormal", 2, _moments_lognormal, _fill_lognormal, None),
-    "bern2+": _Family(
-        "scaled_bernoulli_plus", 2, _moments_bern2_plus, _fill_uniform, _bern2_plus
-    ),
-    "bern2-": _Family(
-        "scaled_bernoulli_minus", 2, _moments_bern2_minus, _fill_uniform, _bern2_minus
-    ),
+    "bern2+": _Family("scaled_bernoulli_plus", 2, functools.partial(_moments_bern2, 1.0),
+                      _fill_uniform, functools.partial(_select, 1.0)),
+    "bern2-": _Family("scaled_bernoulli_minus", 2, functools.partial(_moments_bern2, -1.0),
+                      _fill_uniform, functools.partial(_select, -1.0)),
     "constant": _Family("constant", 1, _moments_constant, _fill_nothing, _constant),
 }
 _TOKEN = {row.family: token for token, row in _FAMILIES.items()}
+
+
+def _fill_family(token: str, params: tuple, block: np.ndarray, rngs) -> None:
+    """_draw_rows for the family of a grammar token, with unchecked params: a
+    caller may draw a law whose moments overflow a float (bern2+ at C = 1e203)."""
+    family = _FAMILIES[token]
+    for row, rng in zip(block, rngs):
+        family.fill(row, rng, params)
+    if family.transform is not None:
+        family.transform(block, params)
 
 
 def _draw_rows(dist: DistributionSpec, block: np.ndarray, rngs) -> None:
@@ -321,12 +313,7 @@ def _draw_rows(dist: DistributionSpec, block: np.ndarray, rngs) -> None:
     """
     if dist.family not in _TOKEN:
         raise ValueError(f"unknown family {dist.family!r}")
-    family = _FAMILIES[_TOKEN[dist.family]]
-    p = dist.params
-    for row, rng in zip(block, rngs):
-        family.fill(row, rng, p)
-    if family.transform is not None:
-        family.transform(block, p)
+    _fill_family(_TOKEN[dist.family], dist.params, block, rngs)
 
 
 def _draw(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import _batch
 from ._version import __version__
-from .core_estimators import _LN2, _MOM_WIDTH, _ceil_tol, _kreg_blocks, _kreg_check, _mom_blocks
+from .core_estimators import _LN2, _MOM_WIDTH, _REL_SLACK, _kreg_blocks, _kreg_check
+from .core_estimators import _mom_blocks, _rank
 from .distributions import DistributionSpec, _draw_rows, format_distribution
 from .interval_combiner import _check_sigma2_hi, _family_depth
 from .kurtosis_pipeline import _check as _kurtosis_check
@@ -102,7 +103,9 @@ class TailRow:
     subsampled_quantile (quantile from a stratified subsample; exceedance
     still exact),
     nonfinite (at least one trial error is NaN or infinite: a NaN never
-    counts as an exceedance, so the row's numbers are not meaningful).
+    counts as an exceedance, so the row's numbers are not meaningful),
+    degenerate (sigma = 0: the radius is 0, so any rounding error in an
+    estimate is an exceedance, and l_hat is 0 by convention).
     """
 
     delta: float
@@ -247,7 +250,7 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
     is the exact fraction of trials with |estimate - mu| > radius,
     quantile_error is the rank-ceil((1-delta)*T) order statistic of the
     errors, and l_hat = quantile_error / (sigma*sqrt((1+ln(1/delta))/n)), or
-    0 when sigma = 0.
+    0 when sigma = 0, where every computed row is flagged degenerate.
     """
     start = time.perf_counter()
     dist = config.dist
@@ -328,14 +331,16 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
                 TailRow(float(d), math.nan, math.nan, math.nan, math.nan, "invalid_delta")
             )
             continue
-        flags = ["below_delta_min"] if d < floor * (1.0 - 1e-12) else []
+        flags = ["below_delta_min"] if d < floor * (1.0 - _REL_SLACK) else []
         if d * trials < 10.0:
             flags.append("undersampled")
         if kept < trials:
             flags.append("subsampled_quantile")
         if nonfinite[:, j].any():
             flags.append("nonfinite")
-        r = min(max(_ceil_tol((1.0 - d) * kept), 1), kept)
+        if sigma == 0.0:
+            flags.append("degenerate")
+        r = _rank(1.0 - d, kept)
         q = float(np.partition(store[:, j if ddep else 0], r - 1)[r - 1])
         l_hat = q / float(denom[j]) if sigma > 0.0 else 0.0
         rows.append(
@@ -394,7 +399,7 @@ def normalized_quantile_curve(errors, sigma: float, n: int, deltas):
     for d in deltas:
         if not 0.0 < d < 1.0:
             raise ValueError(f"delta {d!r} outside (0, 1)")
-        r = min(max(_ceil_tol((1.0 - d) * t), 1), t)
+        r = _rank(1.0 - d, t)
         q = float(arr[r - 1])
         out.append((float(d), q / (sigma * math.sqrt((1.0 - math.log(d)) / n))))
     return out

@@ -15,7 +15,9 @@ from subgauss import (
     laplace_ratio_floor,
     median_of_means,
     median_of_means_raw,
+    parse_distribution,
     poisson_point_mass_check,
+    sample,
     scaled_bernoulli_moment,
 )
 
@@ -70,6 +72,16 @@ class TestCoupledScaledBernoulli:
         # p = 0 draws no hit, so a NaN c would otherwise give an all-zero pair.
         with pytest.raises(ValueError, match="must be finite and > 0"):
             coupled_scaled_bernoulli(c, p, 10, 1)
+
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("seed", [0, 2**64 + 9])
+    def test_is_the_bern2_plus_sample(self, p, seed):
+        c, n = 2.5, 257
+        cs = coupled_scaled_bernoulli(c, p, n, seed)
+        want = sample(parse_distribution(f"bern2+:{c!r},{p!r}"), n, seed).values
+        assert cs.x.values.tobytes() == want.tobytes()
+        # 0 - x, not -x: an unfired pair is (0.0, 0.0), never (0.0, -0.0)
+        assert cs.y.values.tobytes() == np.subtract(0.0, want).tobytes()
 
 
 class TestCoupledSampleInvariants:
@@ -150,6 +162,13 @@ class TestInfvarStress:
         _, _, tight = infvar_stress(lambda v: 0.0, 100, 0.05, 1.0, 1.0, 500, 5)
         _, _, loose = infvar_stress(lambda v: 0.0, 100, 0.05, 1.0, 1.0, 500, 5, p=0.001)
         assert loose > tight
+
+    def test_spec_variance_overflow_still_draws(self):
+        # c ~ 1e203 at p = 1e-305: a parsed bern2+ spec's variance c^2 p
+        # overflows, but the coupling is drawn by family token, and a
+        # pair fires with probability 1e-303, so every trial matches.
+        got = infvar_stress(lambda v: 0.0, 100, 0.05, 0.5, 1.0, 10, 1, p=1e-305)
+        assert got == (0.0, 0.0, 1.0)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):

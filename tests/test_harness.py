@@ -187,7 +187,18 @@ class TestTrivialAndFlaggedRows:
             assert row.exceedance == 0.0
             assert row.quantile_error == 0.0
             assert row.l_hat == 0.0
-            assert row.flag == ""
+            assert row.flag == "degenerate"
+
+    @pytest.mark.parametrize("estimator", ["mom", "empirical", "kurtosis"])
+    def test_sigma_zero_rows_are_flagged(self, estimator):
+        # 0.1 is not a sum of powers of two, so block sums round: with a
+        # radius of 0 the rounding alone makes exceedances.
+        cfg = ExperimentConfig(
+            parse_distribution("constant:0.1"), estimator, 1000, 2000, (0.1, 0.01), seed=1
+        )
+        rows = run_tail_experiment(cfg).rows
+        assert any(row.exceedance > 0.0 for row in rows)
+        assert [row.flag for row in rows] == ["degenerate", "degenerate"]
 
     def test_invalid_delta_rows_are_nan(self):
         # n=10 caps mom at delta >= e^-4; 0.001 is far below
