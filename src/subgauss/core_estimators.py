@@ -17,16 +17,9 @@ import numpy as np
 from .distributions import as_values
 
 __all__ = [
-    "BlockPartition",
-    "ConfidenceInterval",
-    "partition_blocks",
-    "quantile_select",
-    "median_of_means",
-    "median_of_means_raw",
-    "pairwise_block_variance",
-    "mom_variance",
-    "quantile_interval_raw",
-    "quantile_interval",
+    "BlockPartition", "ConfidenceInterval", "partition_blocks", "quantile_select",
+    "median_of_means", "median_of_means_raw", "pairwise_block_variance", "mom_variance",
+    "quantile_interval_raw", "quantile_interval",
 ]
 
 _LN2 = math.log(2.0)
@@ -86,6 +79,12 @@ class BlockPartition:
         return tuple(len(blk) for blk in self.blocks)
 
 
+def _check_interval(lo: float, hi: float) -> None:
+    """The rule on an interval's float endpoints; ValueError if unmet."""
+    if not lo <= hi:  # also rejects NaN endpoints
+        raise ValueError(f"interval needs lo <= hi, got [{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class ConfidenceInterval:
     """Closed interval [lo, hi]."""
@@ -96,8 +95,7 @@ class ConfidenceInterval:
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        if not self.lo <= self.hi:  # also rejects NaN endpoints
-            raise ValueError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
+        _check_interval(self.lo, self.hi)
 
     @property
     def length(self) -> float:
@@ -231,6 +229,14 @@ def pairwise_block_variance(values) -> float:
     return max(ss / (m - 1), 0.0)
 
 
+@functools.lru_cache(maxsize=256)
+def _block_dof(n: int, b: int) -> np.ndarray:
+    """Read-only m - 1 of every block of _block_layout(n, b), as floats."""
+    dof = _block_layout(n, b)[1] - 1.0
+    dof.flags.writeable = False
+    return dof
+
+
 def _block_variance(values: np.ndarray, b: int) -> float:
     """mom_variance of a validated sample whose blocks have >= 2 points."""
     q, r = divmod(values.size, b)
@@ -239,8 +245,9 @@ def _block_variance(values: np.ndarray, b: int) -> float:
                         (values[r * (q + 1) :].reshape(b - r, q), variances[r:])):
         if blocks.size:
             c = blocks - (np.add.reduce(blocks, axis=1) / blocks.shape[1])[:, None]
-            np.divide((c[:, None, :] @ c[:, :, None]).reshape(-1), blocks.shape[1] - 1, out=out)
-    np.maximum(variances, 0.0, out=variances)
+            np.matmul(c[:, None, :], c[:, :, None], out=out.reshape(-1, 1, 1))
+    # A sum of squares over m - 1 >= 1 is never below +0.0: no clamp is needed.
+    np.divide(variances, _block_dof(values.size, b), out=variances)
     variances.partition((b - 1) // 2)
     return float(variances[(b - 1) // 2])
 
@@ -255,8 +262,9 @@ def mom_variance(sample, b: int) -> float:
     Gather-free: the n mod b blocks of q+1 values and the rest of q values
     are two reshaped views, centred by their row sums over the row length
     (the pairwise sum and divide of a block's `.mean()`) and squared by
-    stacked `c @ c` (the BLAS dot of `centered @ centered`), so every block
-    variance keeps the bits of pairwise_block_variance on that block.
+    stacked `c @ c` (the BLAS dot of `centered @ centered`) into one b-length
+    buffer, divided once by every block's m - 1, so every block variance
+    keeps the bits of pairwise_block_variance on that block.
     """
     values = as_values(sample)
     n = values.size
@@ -265,10 +273,18 @@ def mom_variance(sample, b: int) -> float:
     return _block_variance(values, b)
 
 
-def _quartile_interval(values: np.ndarray, b: int) -> ConfidenceInterval:
-    """quantile_interval_raw of a validated sample (1 <= b <= n)."""
+def _quartiles(values: np.ndarray, b: int) -> tuple[float, float]:
+    """Checked quartiles of the b block means (1 <= b <= n) of a validated
+    sample.  Each partitions the means in their built order, as
+    quantile_select does, so a tie of 0.0 and -0.0 keeps its zero."""
     means = _block_means(values, b)
-    return ConfidenceInterval(quantile_select(means, 0.25), quantile_select(means, 0.75))
+    lo_rank, hi_rank = _rank(0.25, b) - 1, _rank(0.75, b) - 1
+    first = means.copy()
+    first.partition(lo_rank)
+    means.partition(hi_rank)
+    lo, hi = float(first[lo_rank]), float(means[hi_rank])
+    _check_interval(lo, hi)
+    return lo, hi
 
 
 def quantile_interval_raw(sample, b: int) -> ConfidenceInterval:
@@ -276,7 +292,7 @@ def quantile_interval_raw(sample, b: int) -> ConfidenceInterval:
     values = as_values(sample)
     if b < 1 or b > values.size:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={values.size}")
-    return _quartile_interval(values, b)
+    return ConfidenceInterval(*_quartiles(values, b))
 
 
 def _kreg_check(n: int, k: int) -> None:
@@ -309,4 +325,4 @@ def quantile_interval(sample, delta: float, k: int) -> ConfidenceInterval:
     """
     values = as_values(sample)
     _kreg_check(values.size, k)
-    return _quartile_interval(values, _kreg_blocks(values.size, delta, k))
+    return ConfidenceInterval(*_quartiles(values, _kreg_blocks(values.size, delta, k)))

@@ -18,14 +18,8 @@ import numpy as np
 from . import seeding
 
 __all__ = [
-    "DistributionSpec",
-    "MomentOverflowError",
-    "Sample",
-    "parse_distribution",
-    "format_distribution",
-    "sample",
-    "regularity_probe",
-    "as_values",
+    "DistributionSpec", "MomentOverflowError", "Sample", "parse_distribution",
+    "format_distribution", "sample", "regularity_probe", "as_values",
 ]
 
 
@@ -162,8 +156,10 @@ def _moments_bern2(sign, c, p):
         raise ValueError("bern2 needs C > 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("bern2 needs P in [0, 1]")
-    var = c * c * p * (1.0 - p)
-    if var == 0.0:  # a -0.0 (at P = -0.0) is reported as 0.0
+    # P in {0, 1} is degenerate before c * c is formed (at C = 1e300 it
+    # overflows, and inf * 0 is NaN), so P = -0.0 reports the variance 0.0.
+    var = 0.0 if p in (0.0, 1.0) else c * c * p * (1.0 - p)
+    if var == 0.0:  # also when the product underflows
         return sign * p * c, 0.0, 1.0
     kappa = ((1.0 - p) ** 3 + p**3) / (p * (1.0 - p))
     return sign * p * c, var, kappa

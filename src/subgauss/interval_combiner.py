@@ -14,36 +14,17 @@ import math
 from dataclasses import dataclass
 
 from ._batch import _level_blocks
-# median_of_means, mom_variance and quantile_interval are not called here, but
-# perfbench/spans.py wraps the core estimators under these names in this module.
-from .core_estimators import (  # noqa: F401
-    _LN2,
-    _MOM_WIDTH,
-    _REG_RATE,
-    ConfidenceInterval,
-    _block_variance,
-    _check_range,
-    _floor_tol,
-    _kreg_blocks,
-    _kreg_check,
-    _level_radius,
-    _mom,
-    _quartile_interval,
-    median_of_means,
-    mom_variance,
-    quantile_interval,
-)
+from .core_estimators import _LN2, _MOM_WIDTH, _REG_RATE, ConfidenceInterval, _block_variance
+from .core_estimators import _check_interval, _check_range, _floor_tol, _kreg_blocks, _kreg_check
+from .core_estimators import _level_radius, _mom, _quartiles
+# Not called here, but perfbench/spans.py wraps the core estimators under
+# these names in this module.
+from .core_estimators import median_of_means, mom_variance, quantile_interval  # noqa: F401
 from .distributions import as_values
 
 __all__ = [
-    "IntervalFamily",
-    "CombineResult",
-    "combine",
-    "fixed_sigma_family",
-    "adaptive_family",
-    "quantile_kreg_family",
-    "multiple_delta_estimate",
-    "BUILDERS",
+    "IntervalFamily", "CombineResult", "combine", "fixed_sigma_family", "adaptive_family",
+    "quantile_kreg_family", "multiple_delta_estimate", "BUILDERS",
 ]
 
 BUILDERS = ("fixed_sigma", "adaptive", "quantile_kreg")
@@ -72,6 +53,18 @@ class CombineResult:
     final_interval: ConfidenceInterval
 
 
+def _combine(los, his) -> tuple[int, float, float]:
+    """(k_hat, lo, hi) of the levels [los[k-1], his[k-1]], k = 1..m: the
+    minimal k whose suffix intersection is nonempty, and that intersection."""
+    k_hat, lo, hi = len(los), -math.inf, math.inf
+    for k in range(len(los), 0, -1):
+        lo2, hi2 = max(lo, los[k - 1]), min(hi, his[k - 1])
+        if lo2 > hi2:
+            break
+        k_hat, lo, hi = k, lo2, hi2
+    return k_hat, lo, hi
+
+
 def combine(family: IntervalFamily) -> CombineResult:
     """Midpoint of the deepest-suffix intersection.
 
@@ -80,20 +73,9 @@ def combine(family: IntervalFamily) -> CombineResult:
     the midpoint of that intersection.  Touching endpoints count as a
     nonempty (single point) intersection.
     """
-    lo = -math.inf
-    hi = math.inf
-    k_hat = family.m
-    best = (family.intervals[-1].lo, family.intervals[-1].hi)
-    for k in range(family.m, 0, -1):
-        iv = family.intervals[k - 1]
-        lo2 = max(lo, iv.lo)
-        hi2 = min(hi, iv.hi)
-        if lo2 > hi2:
-            break
-        lo, hi = lo2, hi2
-        k_hat = k
-        best = (lo, hi)
-    final = ConfidenceInterval(best[0], best[1])
+    ivs = family.intervals
+    k_hat, lo, hi = _combine([iv.lo for iv in ivs], [iv.hi for iv in ivs])
+    final = ConfidenceInterval(lo, hi)
     return CombineResult(k_hat=k_hat, estimate=final.midpoint, final_interval=final)
 
 
@@ -121,8 +103,27 @@ def _centers(values, m: int) -> list[float]:
     return [center_of[b] for b in b_of]
 
 
-def _centered_family(centers, radii) -> IntervalFamily:
-    return IntervalFamily(tuple(ConfidenceInterval(c - r, c + r) for c, r in zip(centers, radii)))
+def _centered_levels(centers, radii) -> tuple[list[float], list[float]]:
+    """Level bounds c -/+ r, each level checked like a ConfidenceInterval."""
+    los = [c - r for c, r in zip(centers, radii)]
+    his = [c + r for c, r in zip(centers, radii)]
+    for lo, hi in zip(los, his):
+        _check_interval(lo, hi)
+    return los, his
+
+
+def _family(levels) -> IntervalFamily:
+    return IntervalFamily(tuple(map(ConfidenceInterval, *levels)))
+
+
+def _fixed_levels(values, sigma2_hi: float, delta_min: float):
+    """Level bounds of fixed_sigma_family on a validated sample."""
+    _check_sigma2_hi(sigma2_hi)
+    n = values.size
+    m = _family_depth(delta_min, n)
+    width = _MOM_WIDTH * math.sqrt(sigma2_hi)
+    radii = [width * _level_radius(k, n) for k in range(1, m + 1)]
+    return _centered_levels(_centers(values, m), radii)
 
 
 def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFamily:
@@ -132,12 +133,24 @@ def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFa
     radius 2*sqrt(2)*e*sqrt(sigma2_hi)*sqrt((1 + k ln 2)/n).  The family has
     m = floor(log2(1/delta_min)) - 1 levels.
     """
-    values = as_values(sample)
-    _check_sigma2_hi(sigma2_hi)
-    m = _family_depth(delta_min, values.size)
-    width = _MOM_WIDTH * math.sqrt(sigma2_hi)
-    radii = [width * _level_radius(k, values.size) for k in range(1, m + 1)]
-    return _centered_family(_centers(values, m), radii)
+    return _family(_fixed_levels(as_values(sample), sigma2_hi, delta_min))
+
+
+def _adaptive_levels(values, delta_min: float):
+    """Level bounds of adaptive_family on a validated sample."""
+    n = values.size
+    m = _family_depth(delta_min, n)
+    b_of = _level_blocks(m)[1]
+    # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
+    nu2_of = {b: _block_variance(values, b) for b in set(b_of)}
+    a = _MOM_WIDTH * 2.0
+    radii = [a * math.sqrt(nu2_of[b]) * _level_radius(k, n) for k, b in enumerate(b_of, 1)]
+    centers = _centers(values, m)
+    for k, (c, r) in enumerate(zip(centers, radii), start=1):
+        if not math.isfinite(c - r):  # r < 1e160 when finite, so c - r cannot overflow
+            raise ValueError(f"adaptive level {k} (delta=2^-{k}) has centre {c!r} and radius "
+                             f"{r!r}: the sample's block sums overflow float64")
+    return _centered_levels(centers, radii)
 
 
 def adaptive_family(sample, delta_min: float) -> IntervalFamily:
@@ -148,31 +161,11 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
     variance knowledge is required.  A level whose centre or radius is not
     finite (the sample's block sums overflow) is a ValueError.
     """
-    values = as_values(sample)
-    m = _family_depth(delta_min, values.size)
-    b_of = _level_blocks(m)[1]
-    # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
-    nu2_of = {b: _block_variance(values, b) for b in set(b_of)}
-    a = _MOM_WIDTH * 2.0
-    n = values.size
-    radii = [a * math.sqrt(nu2_of[b]) * _level_radius(k, n) for k, b in enumerate(b_of, 1)]
-    centers = _centers(values, m)
-    for k, (c, r) in enumerate(zip(centers, radii), start=1):
-        if not math.isfinite(c - r):  # r < 1e160 when finite, so c - r cannot overflow
-            raise ValueError(f"adaptive level {k} (delta=2^-{k}) has centre {c!r} and radius "
-                             f"{r!r}: the sample's block sums overflow float64")
-    return _centered_family(centers, radii)
+    return _family(_adaptive_levels(as_values(sample), delta_min))
 
 
-def quantile_kreg_family(sample, k_reg: int, delta_min: float | None = None) -> IntervalFamily:
-    """Quartile block-mean intervals at delta = 2^(-k) for k = 1..m.
-
-    delta_min defaults to 4*e^(3 - n/(124*k_reg)), the smallest level the
-    quartile construction supports at this sample size, but no less than
-    2^-1075 (1,074 levels): a deeper level's delta is below every positive
-    float.
-    """
-    values = as_values(sample)
+def _kreg_levels(values, k_reg: int, delta_min: float | None):
+    """Level bounds of quantile_kreg_family on a validated sample."""
     n = values.size
     _kreg_check(n, k_reg)
     if delta_min is None:
@@ -184,40 +177,46 @@ def quantile_kreg_family(sample, k_reg: int, delta_min: float | None = None) -> 
             raise ValueError(f"n={n} too small for a dyadic quartile family at k={k_reg}")
     else:
         m = _family_depth(delta_min, n)
-    intervals = tuple(
-        _quartile_interval(values, _kreg_blocks(n, 2.0**-k, k_reg)) for k in range(1, m + 1)
-    )
-    return IntervalFamily(intervals)
+    levels = [_quartiles(values, _kreg_blocks(n, 2.0**-k, k_reg)) for k in range(1, m + 1)]
+    return [lo for lo, _ in levels], [hi for _, hi in levels]
 
 
-def multiple_delta_estimate(
-    sample,
-    builder: str,
-    *,
-    sigma2_hi: float | None = None,
-    delta_min: float | None = None,
-    k_reg: int = 1,
-) -> float:
+def quantile_kreg_family(sample, k_reg: int, delta_min: float | None = None) -> IntervalFamily:
+    """Quartile block-mean intervals at delta = 2^(-k) for k = 1..m.
+
+    delta_min defaults to 4*e^(3 - n/(124*k_reg)), the smallest level the
+    quartile construction supports at this sample size, but no less than
+    2^-1075 (1,074 levels): a deeper level's delta is below every positive
+    float.
+    """
+    return _family(_kreg_levels(as_values(sample), k_reg, delta_min))
+
+
+def multiple_delta_estimate(sample, builder: str, *, sigma2_hi: float | None = None,
+                            delta_min: float | None = None, k_reg: int = 1) -> float:
     """End-to-end combined estimate from one of the family builders.
 
     builder is one of "fixed_sigma" (requires sigma2_hi), "adaptive", or
     "quantile_kreg" (uses k_reg; delta_min defaults per the quartile
     construction).  The returned value takes no confidence level as input
     yet satisfies the deviation bound simultaneously for every delta the
-    family covers.
+    family covers.  The levels are combined as float bounds, with the
+    family's checks and messages, so no interval object is built: the value
+    is combine(<builder>_family(...)).estimate bit for bit.
     """
     if builder == "fixed_sigma":
         if sigma2_hi is None:
             raise ValueError("fixed_sigma builder requires sigma2_hi")
         if delta_min is None:
             raise ValueError("fixed_sigma builder requires delta_min")
-        family = fixed_sigma_family(sample, sigma2_hi, delta_min)
+        levels = _fixed_levels(as_values(sample), sigma2_hi, delta_min)
     elif builder == "adaptive":
         if delta_min is None:
             raise ValueError("adaptive builder requires delta_min")
-        family = adaptive_family(sample, delta_min)
+        levels = _adaptive_levels(as_values(sample), delta_min)
     elif builder == "quantile_kreg":
-        family = quantile_kreg_family(sample, k_reg, delta_min)
+        levels = _kreg_levels(as_values(sample), k_reg, delta_min)
     else:
         raise ValueError(f"unknown builder {builder!r}; expected one of {BUILDERS}")
-    return combine(family).estimate
+    _, lo, hi = _combine(*levels)
+    return 0.5 * (lo + hi)

@@ -15,20 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:  # the ufunc behind np.clip, called without np.clip's Python wrappers
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 from .core_estimators import _MOM_WIDTH, _block_variance, _mom
 # median_of_means_raw and mom_variance are not called here, but
 # perfbench/spans.py wraps the core estimators under these names in this module.
 from .core_estimators import median_of_means_raw, mom_variance  # noqa: F401
 from .distributions import as_values
 
-__all__ = [
-    "KurtosisConfig",
-    "XiTerms",
-    "psi",
-    "truncated_mean",
-    "xi_terms",
-    "kurtosis_estimate",
-]
+__all__ = ["KurtosisConfig", "XiTerms", "psi", "truncated_mean", "xi_terms", "kurtosis_estimate"]
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,8 @@ def _pipeline(values: np.ndarray, b_max: int) -> tuple[float, float, float, floa
     mu_hat = _mom(values, b_max)
     nu2 = _block_variance(values, b_max)
     r_hat = math.sqrt(nu2) * math.sqrt(n / (2.0 * b_max))
-    est = float(np.clip(values, mu_hat - r_hat, mu_hat + r_hat).mean())
+    # np.clip(...).mean() through the ufuncs behind both: the same clip, sum and divide.
+    est = float(np.add.reduce(_clip(values, mu_hat - r_hat, mu_hat + r_hat))) / n
     return mu_hat, nu2, r_hat, est
 
 
@@ -145,28 +144,18 @@ def kurtosis_estimate(sample, config: KurtosisConfig) -> float:
     kappa = config.kappa_bound
 
     cond = 96.0 * math.e * (kappa + 3.0) * b / n
-    if cond > 1.0:
-        warnings.warn(
-            f"variance-estimate concentration condition fails: "
-            f"96*e*(kappa+3)*b_max/n = {cond:.4g} > 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     eps_mu = _MOM_WIDTH * math.sqrt(b / n)
     eps_r = 2.0 * math.e * math.sqrt(3.0 * (kappa + 3.0))
     half = math.sqrt(n / (2.0 * b))
-    if 2.0 * (eps_mu + eps_r) > half:
-        warnings.warn(
-            f"truncation window may be unstable: 2*(eps_mu + eps_R) = "
-            f"{2.0 * (eps_mu + eps_r):.4g} exceeds sqrt(n/(2*b_max)) = {half:.4g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if eps_mu > math.sqrt(kappa):
-        warnings.warn(
-            f"center-accuracy assumption fails: eps_mu = {eps_mu:.4g} exceeds "
-            f"sqrt(kappa_bound) = {math.sqrt(kappa):.4g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    window = 2.0 * (eps_mu + eps_r)
+    for fails, message in (
+        (cond > 1.0, "variance-estimate concentration condition fails: "
+                     f"96*e*(kappa+3)*b_max/n = {cond:.4g} > 1"),
+        (window > half, f"truncation window may be unstable: 2*(eps_mu + eps_R) = {window:.4g} "
+                        f"exceeds sqrt(n/(2*b_max)) = {half:.4g}"),
+        (eps_mu > math.sqrt(kappa), f"center-accuracy assumption fails: eps_mu = {eps_mu:.4g} "
+                                    f"exceeds sqrt(kappa_bound) = {math.sqrt(kappa):.4g}"),
+    ):
+        if fails:
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
     return _pipeline(values, b)[3]

@@ -4,7 +4,8 @@
 chunk draw in subgauss.distributions replaces, and `infvar_stress` the
 one-trial-at-a-time loop that the chunked stress test replaces.
 
-`mom_variance`, `fixed_sigma_family`, `adaptive_family` and `pipeline` are
+`mom_variance`, `fixed_sigma_family`, `adaptive_family`, `combine` and
+`pipeline` are
 the one-sample formulas that the gather-free block variance and the
 validate-once kernels replace: a Python loop of pairwise_block_variance over
 the blocks, and a median-of-means centre and block variance recomputed for
@@ -200,6 +201,25 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
             )
         intervals.append(ConfidenceInterval(center - radius, center + radius))
     return IntervalFamily(tuple(intervals))
+
+
+def combine(family: IntervalFamily) -> tuple[int, float, float]:
+    """(k_hat, lo, hi) with every suffix k..m intersected afresh.  Each
+    intersection folds from level m down, as the one-pass combine does, so a
+    tie of 0.0 and -0.0 resolves alike."""
+
+    def suffix(k):
+        lo, hi = -math.inf, math.inf
+        for iv in reversed(family.intervals[k - 1 :]):
+            lo, hi = max(lo, iv.lo), min(hi, iv.hi)
+        return lo, hi
+
+    # A suffix is nonempty whenever a longer one is, so k_hat is where the
+    # walk down from m stops.
+    k_hat = family.m
+    while k_hat > 1 and suffix(k_hat - 1)[0] <= suffix(k_hat - 1)[1]:
+        k_hat -= 1
+    return (k_hat, *suffix(k_hat))
 
 
 def pipeline(values: np.ndarray, b_max: int) -> tuple[float, float, float, float]:

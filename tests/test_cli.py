@@ -421,7 +421,7 @@ class TestBench:
         assert run_cli(args) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("dist", ["lognormal:0,14", "gaussian:1e300,1e300"])
+    @pytest.mark.parametrize("dist", ["lognormal:0,14", "gaussian:1e300,1e300", "bern2+:1e300,0.5"])
     def test_overflowing_moments_is_runtime_error(self, tmp_path, capsys, dist):
         out = tmp_path / "x.csv"
         args = list(self.BASE) + ["--out", str(out), "--format", "csv"]
@@ -430,6 +430,18 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and dist in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dist", ["bern2+:1e300,0", "bern2-:1e300,1"])
+    def test_degenerate_two_point_law_at_huge_scale_runs(self, tmp_path, capsys, dist):
+        # c * c overflows at C = 1e300, but P in {0, 1} is degenerate: the
+        # run completes and every computed row is flagged degenerate.
+        out = tmp_path / "x.json"
+        args = list(self.BASE) + ["--out", str(out), "--format", "json"]
+        args[2] = dist
+        assert run_cli(args) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        rows = read_report(out).rows
+        assert rows and all("degenerate" in row.flag for row in rows)
 
     def test_unsatisfiable_config_is_runtime_error(self, tmp_path, capsys):
         args = list(self.BASE) + ["--out", str(tmp_path / "x.csv"), "--format", "csv"]

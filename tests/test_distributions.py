@@ -76,6 +76,35 @@ def test_bern2_degenerate_p():
 
 
 @pytest.mark.parametrize(
+    "spec, mu",
+    [
+        ("bern2+:1e300,0", 0.0),
+        ("bern2-:1e300,0", -0.0),
+        ("bern2+:1e300,-0.0", -0.0),
+        ("bern2-:1e300,-0.0", 0.0),
+        ("bern2+:1e300,1", 1e300),
+        ("bern2-:1e300,1", -1e300),
+        ("bern2+:1.7e308,1", 1.7e308),
+        # Small C keeps the bits it had: mu = sign*P*C, sigma2 = +0.0.
+        ("bern2+:1,-0.0", -0.0),
+        ("bern2-:1,0", -0.0),
+        ("bern2+:1e-200,0.5", 5e-201),
+    ],
+)
+def test_bern2_degenerate_moments_at_any_c(spec, mu):
+    # At P in {0, 1} c * c is not formed, so C = 1e300 (where it overflows
+    # and inf * 0 would be NaN) gives the degenerate moments; the variance
+    # is +0.0 also at P = -0.0.
+    d = parse_distribution(spec)
+    assert (d.mu.hex(), d.sigma2.hex(), d.kappa) == (mu.hex(), "0x0.0p+0", 1.0)
+
+
+def test_bern2_overflowing_variance_still_rejected():
+    with pytest.raises(MomentOverflowError, match="bern2"):
+        parse_distribution("bern2+:1e300,0.5")
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         "cauchy:1",

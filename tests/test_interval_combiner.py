@@ -248,6 +248,21 @@ class TestSharedCenters:
         multiple_delta_estimate(values, builder, sigma2_hi=1.0, delta_min=2.0**-10)
         assert sorted(blocks) == [1, 2, 3, 4, 5, 6, 7]
 
+    def test_one_block_variance_per_distinct_variance_block_count(self, monkeypatch):
+        # At m = 9 the variance block counts max(2, ceil(k ln 2)) are
+        # 2, 2, 3, 3, 4, 5, 5, 6, 7: six distinct counts, six passes.
+        blocks = []
+        real = combiner_module._block_variance
+
+        def counting(values, b):
+            blocks.append(b)
+            return real(values, b)
+
+        monkeypatch.setattr(combiner_module, "_block_variance", counting)
+        values = sample(parse_distribution("gaussian:0,1"), 256, 12).values
+        multiple_delta_estimate(values, "adaptive", delta_min=2.0**-10)
+        assert sorted(blocks) == [2, 3, 4, 5, 6, 7]
+
 
 class TestQuantileKregFamily:
     def test_default_depth(self):

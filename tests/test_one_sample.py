@@ -10,6 +10,7 @@ error must carry the same message.
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 from hypothesis import given, settings
@@ -101,6 +102,40 @@ def test_families_match_per_level_calls(data, m):
     )
 
 
+@COMMON
+@given(data=st.data(), builder=st.sampled_from(interval_combiner.BUILDERS))
+def test_estimate_is_combine_of_its_family(data, builder):
+    # multiple_delta_estimate combines float level bounds without building
+    # a family; it must return combine(family).estimate bit for bit, or
+    # raise the family's ValueError.
+    n = data.draw(st.integers(4, 2500))
+    x = data.draw(samples(n))
+    delta_min = 2.0 ** -data.draw(st.integers(2, 14))
+    if builder == "fixed_sigma":
+        sigma2_hi = data.draw(st.sampled_from([0.25, 1.0, 1e6]))
+        kwargs = {"sigma2_hi": sigma2_hi, "delta_min": delta_min}
+        family_of = partial(interval_combiner.fixed_sigma_family, x, sigma2_hi, delta_min)
+    elif builder == "adaptive":
+        kwargs = {"delta_min": delta_min}
+        family_of = partial(interval_combiner.adaptive_family, x, delta_min)
+    else:
+        k_reg = data.draw(st.integers(1, 2))
+        delta_min = data.draw(st.sampled_from([None, delta_min]))
+        kwargs = {"k_reg": k_reg, "delta_min": delta_min}
+        family_of = partial(interval_combiner.quantile_kreg_family, x, k_reg, delta_min)
+    got = bits(lambda: interval_combiner.multiple_delta_estimate(x, builder, **kwargs))
+    try:
+        family = family_of()
+    except ValueError as exc:
+        assert got == ("error", str(exc))
+        return
+    result = interval_combiner.combine(family)
+    assert got == result.estimate.hex()
+    k_hat, lo, hi = ref.combine(family)
+    final = result.final_interval
+    assert (result.k_hat, final.lo.hex(), final.hi.hex()) == (k_hat, lo.hex(), hi.hex())
+
+
 def test_constant_blocks_have_zero_variance():
     # Exact block sums: each centred value is exactly 0, in both views.
     for n, b in ((20, 3), (21, 3), (9, 4), (4, 2)):
@@ -159,8 +194,34 @@ def test_median_of_means_delta_messages():
     assert bits(median_of_means, bad, 0.5) == ("error", "sample values must all be finite")
 
 
-# Finite inputs whose block sums overflow: the value and every warning
-# (category and text, in order) of each public one-sample call.
+def combined_fixed(x):
+    return interval_combiner.multiple_delta_estimate(
+        x, "fixed_sigma", sigma2_hi=1.0, delta_min=0.125
+    )
+
+
+def combined_adaptive(x):
+    return interval_combiner.multiple_delta_estimate(x, "adaptive", delta_min=0.125)
+
+
+def kurtosis(x):
+    config = kurtosis_pipeline.KurtosisConfig(b_max=2, kappa_bound=9.0)
+    return kurtosis_pipeline.kurtosis_estimate(x, config)
+
+
+ADAPTIVE_OVERFLOW = ("adaptive level 1 (delta=2^-1) has centre {} and radius inf: the "
+                     "sample's block sums overflow float64")
+# kurtosis_estimate's precondition warnings at n = 8, b_max = 2, kappa_bound = 9.
+KURTOSIS_PRECONDITIONS = [
+    "variance-estimate concentration condition fails: 96*e*(kappa+3)*b_max/n = 782.9 > 1",
+    "truncation window may be unstable: 2*(eps_mu + eps_R) = 72.93 exceeds "
+    "sqrt(n/(2*b_max)) = 1.414",
+    "center-accuracy assumption fails: eps_mu = 3.844 exceeds sqrt(kappa_bound) = 3",
+]
+
+# Finite inputs whose block sums overflow: the value (or the ValueError) and
+# every warning (category and text, in order) of each public one-sample
+# call.  A warning given as a bare ufunc name is that ufunc's overflow.
 OVERFLOW_CASES = [
     ("max", median_of_means, (0.1,), "inf", ["reduceat"]),
     ("max", median_of_means_raw, (2,), "inf", ["reduceat"]),
@@ -170,6 +231,14 @@ OVERFLOW_CASES = [
     ("signed", median_of_means_raw, (2,), "0x0.0p+0", []),
     ("signed", mom_variance, (2,), "inf", ["reduce"]),
     ("signed", quantile_interval_raw, (2,), ["0x0.0p+0", "0x0.0p+0"], []),
+    ("max", combined_fixed, (), "inf", ["reduceat", "reduceat"]),
+    ("max", combined_adaptive, (), ("error", ADAPTIVE_OVERFLOW.format("inf")),
+     ["reduce", "reduceat", "reduceat"]),
+    ("max", kurtosis, (), "nan", [*KURTOSIS_PRECONDITIONS, "reduceat", "reduce"]),
+    ("signed", combined_fixed, (), "0x0.0p+0", []),
+    ("signed", combined_adaptive, (), ("error", ADAPTIVE_OVERFLOW.format("0.0")), ["reduce"]),
+    ("signed", kurtosis, (), "nan", [*KURTOSIS_PRECONDITIONS, "reduce", "reduce",
+                                     "invalid value encountered in reduce"]),
 ]
 
 
@@ -178,12 +247,15 @@ def test_overflow_warnings_are_pinned():
     for name, fn, args, value, ufuncs in OVERFLOW_CASES:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = fn(inputs[name], *args)
-        if isinstance(got, tuple) or hasattr(got, "lo"):
+            try:
+                got = fn(inputs[name], *args)
+            except ValueError as exc:
+                got = ("error", str(exc))
+        if hasattr(got, "lo"):
             got = [got.lo.hex(), got.hi.hex()]
-        else:
+        elif isinstance(got, float):
             got = got.hex()
         assert got == value, (name, fn.__name__)
         assert [(w.category, str(w.message)) for w in caught] == [
-            (RuntimeWarning, f"overflow encountered in {u}") for u in ufuncs
+            (RuntimeWarning, u if " " in u else f"overflow encountered in {u}") for u in ufuncs
         ], (name, fn.__name__)
