@@ -78,7 +78,7 @@ def mom_variance_rows(chunk: np.ndarray, b: int) -> np.ndarray:
         out=buf[:, split:].reshape(t, b - r, q),
     )
     np.multiply(buf, buf, out=buf)
-    var = np.maximum(_segment_sums(buf, starts) / (sizes - 1), 0.0)
+    var = _segment_sums(buf, starts) / (sizes - 1)
     return _select_rows(var, _rank0(b, 0.5))
 
 

@@ -39,9 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", required=True, help="file with one number per line")
     est.add_argument("--estimator", required=True, choices=ESTIMATORS)
     est.add_argument("--delta", type=float, help="confidence level for delta-dependent estimators")
-    est.add_argument("--b-max", dest="b_max", type=int, default=8)
+    est.add_argument("--b-max", dest="b_max", type=int, default=_SPECS["kurtosis"][0]["b_max"])
     est.add_argument("--sigma2-hi", dest="sigma2_hi", type=float)
-    est.add_argument("--k-reg", dest="k_reg", type=int, default=1)
+    est.add_argument("--k-reg", dest="k_reg", type=int, default=_SPECS["quantile_kreg"][0]["k_reg"])
     est.add_argument("--delta-min", dest="delta_min", type=float)
     est.add_argument("--kappa-bound", dest="kappa_bound", type=float)
     est.add_argument("--diagnostics", action="store_true")

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import shutil
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import subgauss
 from subgauss import (
     KurtosisConfig,
     kurtosis_estimate,
@@ -575,6 +577,50 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout == "2\n"
+
+    def test_public_surface(self):
+        # The package's top-level names, by defining module.
+        surface = {
+            "_version": ["__version__"],
+            "adversarial": [
+                "CoupledSample", "coupled_scaled_bernoulli", "infvar_stress",
+                "laplace_ratio_floor", "poisson_point_mass_check", "scaled_bernoulli_moment",
+            ],
+            "cli": ["main", "run_cli"],
+            "core_estimators": [
+                "BlockPartition", "ConfidenceInterval", "median_of_means", "median_of_means_raw",
+                "mom_variance", "pairwise_block_variance", "partition_blocks",
+                "quantile_interval", "quantile_interval_raw", "quantile_select",
+            ],
+            "distributions": [
+                "DistributionSpec", "MomentOverflowError", "Sample", "as_values",
+                "format_distribution", "parse_distribution", "regularity_probe", "sample",
+            ],
+            "harness": [
+                "DELTA_DEPENDENT", "ESTIMATORS", "ExperimentConfig", "TailReport", "TailRow",
+                "exceedance_rate", "normalized_quantile_curve", "read_report",
+                "run_tail_experiment", "write_report",
+            ],
+            "interval_combiner": [
+                "BUILDERS", "CombineResult", "IntervalFamily", "adaptive_family", "combine",
+                "fixed_sigma_family", "multiple_delta_estimate", "quantile_kreg_family",
+            ],
+            "kurtosis_pipeline": [
+                "KurtosisConfig", "XiTerms", "kurtosis_estimate", "psi", "truncated_mean",
+                "xi_terms",
+            ],
+            "seeding": ["mix_seed"],
+        }
+        names = [name for module_names in surface.values() for name in module_names]
+        assert len(names) == 52
+        assert sorted(subgauss.__all__) == sorted(names)
+        assert len(set(subgauss.__all__)) == len(subgauss.__all__)
+        for module_name, module_names in surface.items():
+            module = importlib.import_module(f"subgauss.{module_name}")
+            for name in module_names:
+                assert getattr(subgauss, name) is getattr(module, name), name
+        assert "trial_rngs" not in subgauss.__all__
+        assert not hasattr(subgauss, "trial_rngs")
 
     def test_cold_start_imports_no_scipy(self, tmp_path):
         # A one-shot CLI call pays for every module the package imports.

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from subgauss import (
     run_tail_experiment,
     sample,
     write_report,
+    xi_terms,
 )
 
 GAUSS = parse_distribution("gaussian:0.5,2")
@@ -522,8 +524,6 @@ class TestLTargetDefaults:
 
     def test_kurtosis_uses_xi(self):
         meta = self.run_meta("kurtosis", dist=parse_distribution("student:6"), n=65536)
-        from subgauss import xi_terms
-
         want = math.sqrt(2.0) * (1.0 + xi_terms(6.0, 65536, 8).xi)
         assert meta["l_target"] == pytest.approx(want, rel=1e-12)
 
@@ -531,6 +531,45 @@ class TestLTargetDefaults:
         meta = self.run_meta("kurtosis", dist=parse_distribution("pareto:2.5,1"), n=64)
         assert meta["l_target"] == math.inf
         # infinite radius can never be exceeded
+
+
+
+def _readme_menu() -> dict:
+    """README's estimator menu: row name -> its constant L cell."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text(encoding="utf-8").split("## The estimator menu", 1)[1]
+    lines = table.strip().split("\n\n", 1)[0].splitlines()[2:]
+    cells = [[c.strip() for c in line.strip("|").split("|")] for line in lines]
+    return {row[0]: row[3] for row in cells}
+
+
+def test_readme_menu_states_the_planned_constants():
+    dist, n = parse_distribution("gaussian:0,1"), 65536
+
+    def planned(estimator, **raw):
+        p = harness_module._resolve_params(estimator, dist, raw)
+        return harness_module._SPECS[estimator][1](dist, n, p)[3]
+
+    menu = _readme_menu()
+    assert set(menu) == {
+        "empirical mean", "median of means", "quartile interval",
+        "combined, known variance bound", "combined, adaptive", "truncated mean",
+    }
+    assert planned("empirical") == math.sqrt(2.0)
+    assert menu["empirical mean"].startswith("sqrt(2) ")
+    assert menu["median of means"] == f"2 sqrt(2) e = {planned('mom'):.2f}"
+    kreg = planned("quantile_kreg", k_reg=1)
+    assert planned("quantile_kreg", k_reg=4) == pytest.approx(2.0 * kreg, rel=1e-12)
+    assert menu["quartile interval"].startswith(f"{kreg:.2f} sqrt(k) ")
+    fixed = planned("combined_fixed_sigma", sigma2_hi=1.0)
+    assert planned("combined_fixed_sigma", sigma2_hi=9.0) == pytest.approx(3.0 * fixed, rel=1e-12)
+    assert menu["combined, known variance bound"].startswith(
+        f"{fixed:.2f} sqrt(sigma2_hi / sigma2),"
+    )
+    assert menu["combined, adaptive"].startswith(f"{planned('combined_adaptive'):.2f},")
+    xi = xi_terms(3.0, n, 8).xi
+    assert planned("kurtosis") == pytest.approx(math.sqrt(2.0) * (1.0 + xi), rel=1e-12)
+    assert menu["truncated mean"].startswith("sqrt(2)(1 + xi),")
 
 
 class TestExceedanceRate:
