@@ -1,9 +1,12 @@
 """Vectorized batch kernels for the Monte Carlo engine.
 
 Each kernel evaluates one estimator on every row of a (trials, n) matrix at
-once.  Block sums use a single reduceat over the flattened matrix with the
-same block layout as the one-sample reference implementations, so batch
-results agree with per-trial calls up to floating-point reassociation.
+once.  The block means, median of means and quartiles are the one-sample
+kernels of core_estimators, so mom_rows, kreg_midpoint_rows and
+combined_fixed_rows give each row the bits of the one-sample call.  The
+block variances do not: mom_variance_rows sums each block by reduceat, the
+one-sample kernel by stacked dot products, so it and the kernels built on
+it agree with the one-sample calls up to floating-point reassociation.
 
 The variance and truncation kernels write every elementwise intermediate
 into one scratch buffer of their input's shape, allocated per call, so
@@ -20,35 +23,9 @@ import math
 
 import numpy as np
 
-from .core_estimators import _LN2, _MOM_WIDTH, _block_layout, _ceil_tol, _level_radius
-from .core_estimators import _mom_count, _rank
-
-
-def _rank0(b: int, alpha: float) -> int:
-    # 0-based index of quantile_select's rank.
-    return _rank(alpha, b) - 1
-
-
-def _segment_sums(chunk: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-block sums of every row: (T, n) with b block starts -> (T, b)."""
-    t, n = chunk.shape
-    flat = np.ascontiguousarray(chunk).reshape(-1)
-    offsets = (np.arange(t, dtype=np.intp)[:, None] * n + starts[None, :]).reshape(-1)
-    return np.add.reduceat(flat, offsets).reshape(t, starts.size)
-
-
-def block_mean_rows(chunk: np.ndarray, b: int) -> np.ndarray:
-    starts, sizes = _block_layout(chunk.shape[1], b)
-    return _segment_sums(chunk, starts) / sizes
-
-
-def _select_rows(mat: np.ndarray, rank0: int) -> np.ndarray:
-    return np.partition(mat, rank0, axis=1)[:, rank0]
-
-
-def mom_rows(chunk: np.ndarray, b: int) -> np.ndarray:
-    """Median-of-means of every row at block count b."""
-    return _select_rows(block_mean_rows(chunk, b), _rank0(b, 0.5))
+from .core_estimators import _LN2, _MOM_WIDTH, _block_layout, _ceil_tol, _chunk_sums
+from .core_estimators import _block_means as block_mean_rows, _mom as mom_rows
+from .core_estimators import _level_radius, _mom_count, _quartiles, _select
 
 
 def mom_variance_rows(chunk: np.ndarray, b: int) -> np.ndarray:
@@ -65,7 +42,7 @@ def mom_variance_rows(chunk: np.ndarray, b: int) -> np.ndarray:
     q, r = divmod(n, b)
     split = r * (q + 1)
     buf = np.empty((t, n))
-    mean = _segment_sums(chunk, starts) / sizes
+    mean = block_mean_rows(chunk, b)
     if r:
         np.subtract(
             chunk[:, :split].reshape(t, r, q + 1),
@@ -78,22 +55,12 @@ def mom_variance_rows(chunk: np.ndarray, b: int) -> np.ndarray:
         out=buf[:, split:].reshape(t, b - r, q),
     )
     np.multiply(buf, buf, out=buf)
-    var = _segment_sums(buf, starts) / (sizes - 1)
-    return _select_rows(var, _rank0(b, 0.5))
-
-
-def quantile_interval_rows(chunk: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quartile interval endpoints of the b block means, per row."""
-    means = block_mean_rows(chunk, b)
-    r1 = _rank0(b, 0.25)
-    r3 = _rank0(b, 0.75)
-    kth = sorted({r1, r3})
-    part = np.partition(means, kth, axis=1)
-    return part[:, r1], part[:, r3]
+    var = _chunk_sums(buf, starts) / (sizes - 1)
+    return _select(var, (b - 1) // 2)
 
 
 def kreg_midpoint_rows(chunk: np.ndarray, b: int) -> np.ndarray:
-    lo, hi = quantile_interval_rows(chunk, b)
+    lo, hi = _quartiles(chunk, b)
     return 0.5 * (lo + hi)
 
 
@@ -142,19 +109,22 @@ def _level_blocks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(map(_mom_block_count, ks)), tuple(map(_variance_block_count, ks))
 
 
-def _combined_rows(chunk: np.ndarray, m: int, widths) -> np.ndarray:
-    """Combined estimate per row: level k is the median-of-means at
-    delta = 2^(-k) plus or minus the k-th width times sqrt((1 + k ln 2)/n)."""
-    t, n = chunk.shape
+def _levels(x: np.ndarray, m: int, widths) -> list[tuple]:
+    """(centre, radius) of levels k = 1..m of one sample (n,) or a chunk
+    (T, n): the median-of-means at delta = 2^(-k), and the k-th width times
+    sqrt((1 + k ln 2)/n)."""
     b_of = _level_blocks(m)[0]
     # Levels share block counts (k = 1..9 use 7 distinct b): one pass each.
-    centers_of = {b: mom_rows(chunk, b) for b in set(b_of)}
-    los = np.empty((t, m))
-    his = np.empty((t, m))
-    for k, (b, width) in enumerate(zip(b_of, widths), start=1):
-        radius = width * _level_radius(k, n)
-        los[:, k - 1] = centers_of[b] - radius
-        his[:, k - 1] = centers_of[b] + radius
+    mom_of = {b: mom_rows(x, b) for b in set(b_of)}
+    n = x.shape[-1]
+    return [(mom_of[b], w * _level_radius(k, n)) for k, (b, w) in enumerate(zip(b_of, widths), 1)]
+
+
+def _combined_rows(chunk: np.ndarray, m: int, widths) -> np.ndarray:
+    """Combined estimate per row of the levels centre -/+ radius."""
+    levels = _levels(chunk, m, widths)
+    los = np.column_stack([c - r for c, r in levels])
+    his = np.column_stack([c + r for c, r in levels])
     return combine_rows(los, his)[0]
 
 

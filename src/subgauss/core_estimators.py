@@ -79,10 +79,11 @@ class BlockPartition:
         return tuple(len(blk) for blk in self.blocks)
 
 
-def _check_interval(lo: float, hi: float) -> None:
-    """The rule on an interval's float endpoints; ValueError if unmet."""
+def _check_interval(lo: float, hi: float) -> tuple[float, float]:
+    """The rule on an interval's float endpoints: (lo, hi), or ValueError if unmet."""
     if not lo <= hi:  # also rejects NaN endpoints
         raise ValueError(f"interval needs lo <= hi, got [{lo}, {hi}]")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -134,23 +135,39 @@ def quantile_select(values, alpha: float) -> float:
         raise ValueError("values must be a nonempty one-dimensional sequence")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    r = _rank(alpha, arr.size)
-    return float(np.partition(arr, r - 1)[r - 1])
+    return _order_stat(arr, alpha)
+
+
+def _order_stat(arr: np.ndarray, alpha: float) -> float:
+    """quantile_select on a nonempty 1-D float array, alpha unchecked."""
+    return float(_select(arr.copy(), _rank(alpha, arr.size) - 1))
+
+
+def _select(a: np.ndarray, r: int) -> np.ndarray:
+    """Order statistic r (0-based) along the last axis, partitioning a in place."""
+    a.partition(r)
+    return a[..., r]
+
+
+def _chunk_sums(chunk: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Block sums of every row of a (T, n) chunk by one flat reduceat, which
+    releases the GIL: numpy's reduceat along an axis keeps it up to 500 rows."""
+    offsets = (np.arange(0, chunk.size, chunk.shape[1])[:, None] + starts).ravel()
+    return np.add.reduceat(chunk.ravel(), offsets).reshape(len(chunk), -1)
 
 
 def _block_means(values: np.ndarray, b: int) -> np.ndarray:
-    starts, sizes = _block_layout(values.size, b)
-    means = np.add.reduceat(values, starts)
+    """Means of the b blocks of one sample (n,) or of every row of a chunk (T, n)."""
+    starts, sizes = _block_layout(values.shape[-1], b)
+    means = np.add.reduceat(values, starts) if values.ndim == 1 else _chunk_sums(values, starts)
     means /= sizes
     return means
 
 
-def _mom(values: np.ndarray, b: int) -> float:
-    """Median of the b block means of a validated sample (1 <= b <= n)."""
-    means = _block_means(values, b)
-    # quantile_select(means, 0.5) takes 0-based rank ceil(b/2) - 1 = (b-1)//2.
-    means.partition((b - 1) // 2)
-    return float(means[(b - 1) // 2])
+def _mom(values: np.ndarray, b: int) -> np.ndarray:
+    """Median of the b block means (1 <= b <= n) along the last axis:
+    quantile_select(means, 0.5) takes 0-based rank ceil(b/2) - 1 = (b-1)//2."""
+    return _select(_block_means(values, b), (b - 1) // 2)
 
 
 def median_of_means_raw(sample, b: int) -> float:
@@ -163,7 +180,7 @@ def median_of_means_raw(sample, b: int) -> float:
     values = as_values(sample)
     if b < 1 or b > values.size:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={values.size}")
-    return _mom(values, b)
+    return float(_mom(values, b))
 
 
 def _level_radius(k: int, n: int) -> float:
@@ -209,7 +226,7 @@ def median_of_means(sample, delta: float) -> float:
     the single block degrades gracefully to the empirical mean.
     """
     values = as_values(sample)
-    return _mom(values, _mom_blocks(values.size, delta))
+    return float(_mom(values, _mom_blocks(values.size, delta)))
 
 
 def pairwise_block_variance(values) -> float:
@@ -248,8 +265,7 @@ def _block_variance(values: np.ndarray, b: int) -> float:
             np.matmul(c[:, None, :], c[:, :, None], out=out.reshape(-1, 1, 1))
     # A sum of squares over m - 1 >= 1 is never below +0.0: no clamp is needed.
     np.divide(variances, _block_dof(values.size, b), out=variances)
-    variances.partition((b - 1) // 2)
-    return float(variances[(b - 1) // 2])
+    return float(_select(variances, (b - 1) // 2))
 
 
 def mom_variance(sample, b: int) -> float:
@@ -273,18 +289,12 @@ def mom_variance(sample, b: int) -> float:
     return _block_variance(values, b)
 
 
-def _quartiles(values: np.ndarray, b: int) -> tuple[float, float]:
-    """Checked quartiles of the b block means (1 <= b <= n) of a validated
-    sample.  Each partitions the means in their built order, as
-    quantile_select does, so a tie of 0.0 and -0.0 keeps its zero."""
+def _quartiles(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quartiles of the b block means (1 <= b <= n) along the last axis.
+    Each partitions the means in their built order, as quantile_select
+    does, so a tie of 0.0 and -0.0 keeps its zero."""
     means = _block_means(values, b)
-    lo_rank, hi_rank = _rank(0.25, b) - 1, _rank(0.75, b) - 1
-    first = means.copy()
-    first.partition(lo_rank)
-    means.partition(hi_rank)
-    lo, hi = float(first[lo_rank]), float(means[hi_rank])
-    _check_interval(lo, hi)
-    return lo, hi
+    return _select(means.copy(), _rank(0.25, b) - 1), _select(means, _rank(0.75, b) - 1)
 
 
 def quantile_interval_raw(sample, b: int) -> ConfidenceInterval:

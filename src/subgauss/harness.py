@@ -30,7 +30,7 @@ import numpy as np
 from . import _batch
 from ._version import __version__
 from .core_estimators import _LN2, _MOM_WIDTH, _REL_SLACK, _kreg_blocks, _kreg_check
-from .core_estimators import _mom_blocks, _rank
+from .core_estimators import _mom_blocks, _order_stat
 from .distributions import DistributionSpec, _draw_rows, format_distribution
 from .interval_combiner import _check_sigma2_hi, _family_depth
 from .kurtosis_pipeline import _check as _kurtosis_check
@@ -340,8 +340,7 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
             flags.append("nonfinite")
         if sigma == 0.0:
             flags.append("degenerate")
-        r = _rank(1.0 - d, kept)
-        q = float(np.partition(store[:, j if ddep else 0], r - 1)[r - 1])
+        q = _order_stat(store[:, j if ddep else 0], 1.0 - d)
         l_hat = q / float(denom[j]) if sigma > 0.0 else 0.0
         rows.append(
             TailRow(
@@ -391,16 +390,14 @@ def normalized_quantile_curve(errors, sigma: float, n: int, deltas):
         raise ValueError("sigma must be > 0 for a normalized curve; report raw quantiles instead")
     if n < 1:
         raise ValueError("n must be >= 1")
-    arr = np.sort(np.asarray(errors, dtype=np.float64))
+    arr = np.asarray(errors, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("errors must be a nonempty one-dimensional sequence")
-    t = arr.size
     out = []
     for d in deltas:
         if not 0.0 < d < 1.0:
             raise ValueError(f"delta {d!r} outside (0, 1)")
-        r = _rank(1.0 - d, t)
-        q = float(arr[r - 1])
+        q = _order_stat(arr, 1.0 - d)
         out.append((float(d), q / (sigma * math.sqrt((1.0 - math.log(d)) / n))))
     return out
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._batch import _level_blocks
+from ._batch import _level_blocks, _levels
 from .core_estimators import _LN2, _MOM_WIDTH, _REG_RATE, ConfidenceInterval, _block_variance
 from .core_estimators import _check_interval, _check_range, _floor_tol, _kreg_blocks, _kreg_check
-from .core_estimators import _level_radius, _mom, _quartiles
+from .core_estimators import _quartiles
 # Not called here, but perfbench/spans.py wraps the core estimators under
 # these names in this module.
 from .core_estimators import median_of_means, mom_variance, quantile_interval  # noqa: F401
@@ -96,19 +96,19 @@ def _check_sigma2_hi(sigma2_hi: float) -> None:
         raise ValueError("sigma2_hi must be finite and > 0")
 
 
-def _centers(values, m: int) -> list[float]:
-    """Median-of-means at delta = 2^(-k), k = 1..m: one pass per block count."""
-    b_of = _level_blocks(m)[0]
-    center_of = {b: _mom(values, b) for b in set(b_of)}
-    return [center_of[b] for b in b_of]
-
-
-def _centered_levels(centers, radii) -> tuple[list[float], list[float]]:
-    """Level bounds c -/+ r, each level checked like a ConfidenceInterval."""
-    los = [c - r for c, r in zip(centers, radii)]
-    his = [c + r for c, r in zip(centers, radii)]
-    for lo, hi in zip(los, his):
+def _centered_levels(values, m: int, widths, finite: bool = False):
+    """Level bounds c -/+ r of _levels as Python floats (numpy scalars warn on
+    overflow), each checked like a ConfidenceInterval; finite adds adaptive's check."""
+    los, his = [], []
+    for k, (c, r) in enumerate(_levels(values, m, widths), start=1):
+        c = float(c)
+        lo, hi = c - r, c + r
+        if finite and not math.isfinite(lo):  # r < 1e160 when finite, so lo cannot overflow
+            raise ValueError(f"adaptive level {k} (delta=2^-{k}) has centre {c!r} and radius "
+                             f"{r!r}: the sample's block sums overflow float64")
         _check_interval(lo, hi)
+        los.append(lo)
+        his.append(hi)
     return los, his
 
 
@@ -119,11 +119,8 @@ def _family(levels) -> IntervalFamily:
 def _fixed_levels(values, sigma2_hi: float, delta_min: float):
     """Level bounds of fixed_sigma_family on a validated sample."""
     _check_sigma2_hi(sigma2_hi)
-    n = values.size
-    m = _family_depth(delta_min, n)
-    width = _MOM_WIDTH * math.sqrt(sigma2_hi)
-    radii = [width * _level_radius(k, n) for k in range(1, m + 1)]
-    return _centered_levels(_centers(values, m), radii)
+    m = _family_depth(delta_min, values.size)
+    return _centered_levels(values, m, [_MOM_WIDTH * math.sqrt(sigma2_hi)] * m)
 
 
 def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFamily:
@@ -138,19 +135,12 @@ def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFa
 
 def _adaptive_levels(values, delta_min: float):
     """Level bounds of adaptive_family on a validated sample."""
-    n = values.size
-    m = _family_depth(delta_min, n)
+    m = _family_depth(delta_min, values.size)
     b_of = _level_blocks(m)[1]
     # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
     nu2_of = {b: _block_variance(values, b) for b in set(b_of)}
     a = _MOM_WIDTH * 2.0
-    radii = [a * math.sqrt(nu2_of[b]) * _level_radius(k, n) for k, b in enumerate(b_of, 1)]
-    centers = _centers(values, m)
-    for k, (c, r) in enumerate(zip(centers, radii), start=1):
-        if not math.isfinite(c - r):  # r < 1e160 when finite, so c - r cannot overflow
-            raise ValueError(f"adaptive level {k} (delta=2^-{k}) has centre {c!r} and radius "
-                             f"{r!r}: the sample's block sums overflow float64")
-    return _centered_levels(centers, radii)
+    return _centered_levels(values, m, [a * math.sqrt(nu2_of[b]) for b in b_of], finite=True)
 
 
 def adaptive_family(sample, delta_min: float) -> IntervalFamily:
@@ -177,7 +167,8 @@ def _kreg_levels(values, k_reg: int, delta_min: float | None):
             raise ValueError(f"n={n} too small for a dyadic quartile family at k={k_reg}")
     else:
         m = _family_depth(delta_min, n)
-    levels = [_quartiles(values, _kreg_blocks(n, 2.0**-k, k_reg)) for k in range(1, m + 1)]
+    levels = [_check_interval(*map(float, _quartiles(values, _kreg_blocks(n, 2.0**-k, k_reg))))
+              for k in range(1, m + 1)]
     return [lo for lo, _ in levels], [hi for _, hi in levels]
 
 

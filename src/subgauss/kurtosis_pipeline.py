@@ -58,14 +58,21 @@ class XiTerms:
             raise ValueError("xi terms must be nonnegative")
 
 
-def _check_radius(R: float) -> None:
+def _check_window(mu: float, R: float) -> None:
     if not R >= 0.0:  # also rejects NaN
         raise ValueError("R must be >= 0")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
+
+
+def _clipped_mean(values: np.ndarray, mu: float, R: float) -> float:
+    """np.clip(values, mu - R, mu + R).mean(), by the ufuncs behind both."""
+    return float(np.add.reduce(_clip(values, mu - R, mu + R))) / values.size
 
 
 def psi(mu: float, R: float, x):
-    """Clip x (scalar or array) to the window [mu - R, mu + R]."""
-    _check_radius(R)
+    """Clip x (scalar or array) to the window [mu - R, mu + R], mu finite."""
+    _check_window(mu, R)
     clipped = np.clip(x, mu - R, mu + R)
     if np.ndim(x) == 0:
         return float(clipped)
@@ -73,10 +80,10 @@ def psi(mu: float, R: float, x):
 
 
 def truncated_mean(sample, mu: float, R: float) -> float:
-    """Arithmetic mean of the sample clipped to [mu - R, mu + R]."""
+    """Arithmetic mean of the sample clipped to [mu - R, mu + R], mu finite."""
     values = as_values(sample)
-    _check_radius(R)
-    return float(np.clip(values, mu - R, mu + R).mean())
+    _check_window(mu, R)
+    return _clipped_mean(values, mu, R)
 
 
 def xi_terms(kappa: float, n: int, b_max: int) -> XiTerms:
@@ -114,12 +121,10 @@ def _check(n: int, b_max: int) -> None:
 def _pipeline(values: np.ndarray, b_max: int) -> tuple[float, float, float, float]:
     """(mu_hat, nu2_hat, R_hat, estimate) of a validated sample, n // b_max >= 2."""
     n = values.size
-    mu_hat = _mom(values, b_max)
+    mu_hat = float(_mom(values, b_max))
     nu2 = _block_variance(values, b_max)
     r_hat = math.sqrt(nu2) * math.sqrt(n / (2.0 * b_max))
-    # np.clip(...).mean() through the ufuncs behind both: the same clip, sum and divide.
-    est = float(np.add.reduce(_clip(values, mu_hat - r_hat, mu_hat + r_hat))) / n
-    return mu_hat, nu2, r_hat, est
+    return mu_hat, nu2, r_hat, _clipped_mean(values, mu_hat, r_hat)
 
 
 def kurtosis_estimate(sample, config: KurtosisConfig) -> float:

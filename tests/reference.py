@@ -16,6 +16,8 @@ kernels: the straightforward whole-matrix formulas, where the block means
 are gathered back to full row length, the centered squares live in (T, n)
 temporaries, and the centres and variances are recomputed at every level.
 The tiled kernels in subgauss._batch must agree with them bit for bit.
+Their block sums and medians are plain np.add.reduceat and np.partition
+calls, not the package's own kernels.
 """
 
 from __future__ import annotations
@@ -24,15 +26,7 @@ import math
 
 import numpy as np
 
-from subgauss._batch import (
-    _LN2,
-    _mom_block_count,
-    _rank0,
-    _segment_sums,
-    _select_rows,
-    combine_rows,
-    mom_rows,
-)
+from subgauss._batch import _LN2, _mom_block_count, combine_rows
 from subgauss.adversarial import coupled_scaled_bernoulli
 from subgauss.core_estimators import (
     ConfidenceInterval,
@@ -99,14 +93,25 @@ def infvar_stress(estimator, n, delta, alpha, M, trials, seed, p=None):
     return fail_plus / trials, fail_minus / trials, match / trials
 
 
+def _median_rows(mat: np.ndarray) -> np.ndarray:
+    """quantile_select(row, 0.5) of every row: 0-based rank ceil(b/2) - 1."""
+    r = (mat.shape[1] + 1) // 2 - 1
+    return np.partition(mat, r, axis=1)[:, r]
+
+
+def mom_rows(chunk: np.ndarray, b: int) -> np.ndarray:
+    starts, sizes = _block_layout(chunk.shape[1], b)
+    return _median_rows(np.add.reduceat(chunk, starts, axis=1) / sizes)
+
+
 def mom_variance_rows(chunk: np.ndarray, b: int) -> np.ndarray:
     starts, sizes = _block_layout(chunk.shape[1], b)
-    mean = _segment_sums(chunk, starts) / sizes
+    mean = np.add.reduceat(chunk, starts, axis=1) / sizes
     block_of = np.repeat(np.arange(starts.size), sizes)
     centered = chunk - mean[:, block_of]
-    ss = _segment_sums(centered * centered, starts)
+    ss = np.add.reduceat(centered * centered, starts, axis=1)
     var = np.maximum(ss / (sizes - 1), 0.0)
-    return _select_rows(var, _rank0(b, 0.5))
+    return _median_rows(var)
 
 
 def truncated_pipeline_rows(chunk: np.ndarray, b_max: int) -> np.ndarray:

@@ -5,7 +5,9 @@ buffer and compute each centre and block variance once per distinct block
 count; tests/reference.py holds the per-level, whole-matrix formulas they
 replace.
 Every case compares with np.array_equal, so any change in the order of a
-floating-point operation shows up as a failure.
+floating-point operation shows up as a failure.  The block-mean kernels are
+the one-sample ones, so each of their rows must also have the bits of a
+one-sample call on it.
 """
 
 import numpy as np
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 
 import reference as ref
 from subgauss import _batch
-from subgauss.core_estimators import _ceil_tol
+from subgauss.core_estimators import _ceil_tol, median_of_means_raw, quantile_interval_raw
+from subgauss.interval_combiner import multiple_delta_estimate
 from subgauss.seeding import _MAX_CHUNK_TRIALS, chunk_bounds
 
 COMMON = settings(deadline=None, max_examples=40)
@@ -111,6 +114,33 @@ def test_combined_fixed_rows_matches_reference(data):
     sigma2_hi = data.draw(st.sampled_from([0.25, 1.0, 1e6]))
     got = _batch.combined_fixed_rows(x, m, sigma2_hi)
     assert np.array_equal(got, ref.combined_fixed_rows(x, m, sigma2_hi), equal_nan=True)
+
+
+def _bits(value) -> int:
+    # The float's bit pattern, so that -0.0 and 0.0 differ.
+    return int(np.float64(value).view(np.int64))
+
+
+@COMMON
+@given(data=st.data())
+def test_rows_match_one_sample_calls(data):
+    n, b = data.draw(layouts())
+    x, _layout = data.draw(matrices(n))
+    m = data.draw(st.sampled_from([m for m in range(1, 13) if _batch._mom_block_count(m) <= n]))
+    sigma2_hi = data.draw(st.sampled_from([0.25, 1.0, 1e6]))
+    mom = _batch.mom_rows(x, b)
+    mid = _batch.kreg_midpoint_rows(x, b)
+    fixed = _batch.combined_fixed_rows(x, m, sigma2_hi)
+    for i, row in enumerate(x):
+        assert _bits(mom[i]) == _bits(median_of_means_raw(row, b))
+        assert _bits(mid[i]) == _bits(quantile_interval_raw(row, b).midpoint)
+        try:
+            want = multiple_delta_estimate(
+                row, "fixed_sigma", sigma2_hi=sigma2_hi, delta_min=2.0 ** -(m + 1)
+            )
+        except ValueError:  # delta_min outside the range at this n
+            continue
+        assert _bits(fixed[i]) == _bits(want)
 
 
 @COMMON

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import subgauss._batch as batch_module
 import subgauss.interval_combiner as combiner_module
 from subgauss import (
     ConfidenceInterval,
@@ -237,13 +238,14 @@ class TestSharedCenters:
     @pytest.mark.parametrize("builder", ["fixed_sigma", "adaptive"])
     def test_one_center_per_distinct_block_count(self, monkeypatch, builder):
         blocks = []
-        real = combiner_module._mom
+        real = batch_module.mom_rows
 
         def counting(values, b):
             blocks.append(b)
             return real(values, b)
 
-        monkeypatch.setattr(combiner_module, "_mom", counting)
+        # The one-sample levels take their centres from _batch._levels.
+        monkeypatch.setattr(batch_module, "mom_rows", counting)
         values = sample(parse_distribution("gaussian:0,1"), 256, 12).values
         multiple_delta_estimate(values, builder, sigma2_hi=1.0, delta_min=2.0**-10)
         assert sorted(blocks) == [1, 2, 3, 4, 5, 6, 7]

@@ -43,6 +43,14 @@ class TestPsi:
         with pytest.raises(ValueError, match="R must be >= 0"):
             psi(0.0, math.nan, 1.0)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_center(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            psi(mu, math.inf, 3.0)
+
+    def test_infinite_radius_clips_nothing(self):
+        assert psi(0.0, math.inf, -1e300) == -1e300
+
     def test_lipschitz_and_window_grid(self):
         rng = np.random.default_rng(8)
         for _ in range(300):
@@ -82,6 +90,15 @@ class TestTruncatedMean:
     def test_rejects_nan_radius(self):
         with pytest.raises(ValueError, match="R must be >= 0"):
             truncated_mean([1.0, 2.0], 0.0, math.nan)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_center(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            truncated_mean([1.0, 2.0], mu, 1.0)
+
+    def test_infinite_radius_is_the_plain_mean(self):
+        vals = np.random.default_rng(3).standard_normal(1001) * 1e6
+        assert truncated_mean(vals, 0.0, math.inf) == float(vals.mean())
 
 
 class TestXiTerms:
