@@ -1,19 +1,19 @@
-"""Vectorized batch kernels for the Monte Carlo engine.
+"""Vectorized batch kernels for the Monte Carlo engine, and the block
+compositions they share with the one-sample estimators.
 
 Each kernel evaluates one estimator on every row of a (trials, n) matrix at
-once.  The block means, median of means and quartiles are the one-sample
-kernels of core_estimators, so mom_rows, kreg_midpoint_rows and
-combined_fixed_rows give each row the bits of the one-sample call.  The
-block variances do not: mom_variance_rows sums each block by reduceat, the
-one-sample kernel by stacked dot products, so it and the kernels built on
-it agree with the one-sample calls up to floating-point reassociation.
+once.  The block means, median of means, quartiles and block variances are
+the one-sample kernels of core_estimators, and the combined levels and the
+truncated-mean pipeline are written here once, over the last axis, for one
+sample (n,) and a chunk alike.  So every kernel gives each row the bits of
+the one-sample call on it.
 
 The variance and truncation kernels write every elementwise intermediate
 into one scratch buffer of their input's shape, allocated per call, so
 concurrent calls on threads share nothing; seeding.chunk_bounds sizes the
-chunks they are handed.  The combined kernels compute the median-of-means
-centres, and combined_adaptive_rows the block variances, once per distinct
-block count, not once per level.
+chunks they are handed.  An estimate takes the block means of each
+distinct block count once: the combined levels' centres and variances, and
+the pipeline's centre and spread, read the same means.
 """
 
 from __future__ import annotations
@@ -23,40 +23,15 @@ import math
 
 import numpy as np
 
-from .core_estimators import _LN2, _MOM_WIDTH, _block_layout, _ceil_tol, _chunk_sums
-from .core_estimators import _block_means as block_mean_rows, _mom as mom_rows
-from .core_estimators import _level_radius, _mom_count, _quartiles, _select
+try:  # the ufunc behind np.clip, called without np.clip's Python wrappers
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
-
-def mom_variance_rows(chunk: np.ndarray, b: int) -> np.ndarray:
-    """Median of per-block unbiased variances for every row.
-
-    Centered like the one-sample formula, so near-constant blocks far from
-    zero keep full precision.  The chunk is centered block by block through
-    reshaped views: the first n mod b blocks have q+1 values and the rest q,
-    so (t, r, q+1) and (t, b-r, q) views broadcast the block means without
-    a gather.
-    """
-    t, n = chunk.shape
-    starts, sizes = _block_layout(n, b)
-    q, r = divmod(n, b)
-    split = r * (q + 1)
-    buf = np.empty((t, n))
-    mean = block_mean_rows(chunk, b)
-    if r:
-        np.subtract(
-            chunk[:, :split].reshape(t, r, q + 1),
-            mean[:, :r, None],
-            out=buf[:, :split].reshape(t, r, q + 1),
-        )
-    np.subtract(
-        chunk[:, split:].reshape(t, b - r, q),
-        mean[:, r:, None],
-        out=buf[:, split:].reshape(t, b - r, q),
-    )
-    np.multiply(buf, buf, out=buf)
-    var = _chunk_sums(buf, starts) / (sizes - 1)
-    return _select(var, (b - 1) // 2)
+from .core_estimators import _LN2, _MOM_WIDTH, _ceil_tol, _level_radius, _mom_count, _select
+from .core_estimators import _block_means as block_mean_rows, _block_variances, _quartiles
+# mom_rows and mom_variance_rows are kernels by name, for the harness and perfbench's spans.
+from .core_estimators import _mom as mom_rows, _mom_variance as mom_variance_rows  # noqa: F401
 
 
 def kreg_midpoint_rows(chunk: np.ndarray, b: int) -> np.ndarray:
@@ -64,15 +39,30 @@ def kreg_midpoint_rows(chunk: np.ndarray, b: int) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def _clipped_mean(x: np.ndarray, lo, hi) -> np.ndarray:
+    """Mean along the last axis of x clipped to [lo, hi], by the ufuncs behind np.clip
+    and np.mean, into a C-ordered scratch, so each row sums pairwise on any layout."""
+    return np.add.reduce(_clip(x, lo, hi, out=np.empty(x.shape)), axis=-1) / x.shape[-1]
+
+
+def _pipeline(x: np.ndarray, b_max: int) -> tuple:
+    """Truncated-mean pipeline (mu, nu2, R, estimate) of one sample (n,), as floats,
+    or of every row of a chunk (T, n) (n // b_max >= 2): median block mean and block
+    variance, R = sqrt(nu2 n/(2 b_max)), and the mean clipped to mu -/+ R."""
+    means = block_mean_rows(x, b_max)
+    # The variances read the means in block order, before _select partitions them.
+    nu2 = _select(_block_variances(x, means), (b_max - 1) // 2)
+    mu = _select(means, (b_max - 1) // 2)
+    r = np.sqrt(nu2) * math.sqrt(x.shape[-1] / (2.0 * b_max))
+    if x.ndim == 1:  # Python floats: numpy scalars warn on inf - inf
+        mu, nu2, r = float(mu), float(nu2), float(r)
+        return mu, nu2, r, float(_clipped_mean(x, mu - r, mu + r))
+    return mu, nu2, r, _clipped_mean(x, (mu - r)[:, None], (mu + r)[:, None])
+
+
 def truncated_pipeline_rows(chunk: np.ndarray, b_max: int) -> np.ndarray:
     """Truncated-mean pipeline estimate per row (center, spread, clip, mean)."""
-    n = chunk.shape[1]
-    mu = mom_rows(chunk, b_max)
-    nu2 = mom_variance_rows(chunk, b_max)
-    r = np.sqrt(nu2) * math.sqrt(n / (2.0 * b_max))
-    # A C-ordered scratch, so each row sums pairwise on any input layout.
-    buf = np.clip(chunk, (mu - r)[:, None], (mu + r)[:, None], out=np.empty(chunk.shape))
-    return buf.mean(axis=1)
+    return _pipeline(chunk, b_max)[3]
 
 
 def combine_rows(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,37 +82,38 @@ def combine_rows(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return est, m - j
 
 
-def _mom_block_count(k: int) -> int:
-    # block count of median_of_means at delta = 2^-k
-    return _mom_count(2.0**-k)
-
-
-def _variance_block_count(k: int) -> int:
-    # variance block count of adaptive_family at level k
-    return max(2, _ceil_tol(k * _LN2))
-
-
 @functools.lru_cache(maxsize=64)
 def _level_blocks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Centre and variance block counts of levels k = 1..m."""
+    """Centre and variance block counts of levels k = 1..m: median_of_means's
+    at delta = 2^(-k), and adaptive_family's max(2, ceil(k ln 2))."""
     ks = range(1, m + 1)
-    return tuple(map(_mom_block_count, ks)), tuple(map(_variance_block_count, ks))
+    return tuple(_mom_count(2.0**-k) for k in ks), tuple(max(2, _ceil_tol(k * _LN2)) for k in ks)
 
 
-def _levels(x: np.ndarray, m: int, widths) -> list[tuple]:
+def _levels(x: np.ndarray, m: int, widths, means: dict | None = None) -> list[tuple]:
     """(centre, radius) of levels k = 1..m of one sample (n,) or a chunk
     (T, n): the median-of-means at delta = 2^(-k), and the k-th width times
-    sqrt((1 + k ln 2)/n)."""
+    sqrt((1 + k ln 2)/n).  The centres partition the block means that means
+    holds at each centre block count, or that are computed here."""
     b_of = _level_blocks(m)[0]
-    # Levels share block counts (k = 1..9 use 7 distinct b): one pass each.
-    mom_of = {b: mom_rows(x, b) for b in set(b_of)}
+    means = means or {b: block_mean_rows(x, b) for b in set(b_of)}
+    mom_of = {b: _select(means[b], (b - 1) // 2) for b in set(b_of)}
     n = x.shape[-1]
     return [(mom_of[b], w * _level_radius(k, n)) for k, (b, w) in enumerate(zip(b_of, widths), 1)]
 
 
-def _combined_rows(chunk: np.ndarray, m: int, widths) -> np.ndarray:
+def _adaptive_levels(x: np.ndarray, m: int) -> list[tuple]:
+    """Levels whose radii come from per-level block-variance estimates."""
+    b_of, v_of = _level_blocks(m)
+    # One pass over x a block count (k = 1..9 use 7) serves the centres and the
+    # variances, which read the means in block order, before _levels partitions them.
+    means = {b: block_mean_rows(x, b) for b in {*b_of, *v_of}}
+    nu2_of = {b: _select(_block_variances(x, means[b]), (b - 1) // 2) for b in set(v_of)}
+    return _levels(x, m, [2.0 * _MOM_WIDTH * np.sqrt(nu2_of[b]) for b in v_of], means)
+
+
+def _combined_rows(levels) -> np.ndarray:
     """Combined estimate per row of the levels centre -/+ radius."""
-    levels = _levels(chunk, m, widths)
     los = np.column_stack([c - r for c, r in levels])
     his = np.column_stack([c + r for c, r in levels])
     return combine_rows(los, his)[0]
@@ -130,13 +121,9 @@ def _combined_rows(chunk: np.ndarray, m: int, widths) -> np.ndarray:
 
 def combined_fixed_rows(chunk: np.ndarray, m: int, sigma2_hi: float) -> np.ndarray:
     """Combined estimate per row, radii from a known variance bound."""
-    return _combined_rows(chunk, m, [_MOM_WIDTH * math.sqrt(sigma2_hi)] * m)
+    return _combined_rows(_levels(chunk, m, [_MOM_WIDTH * math.sqrt(sigma2_hi)] * m))
 
 
 def combined_adaptive_rows(chunk: np.ndarray, m: int) -> np.ndarray:
     """Combined estimate per row, radii from per-level variance estimates."""
-    v_of = _level_blocks(m)[1]
-    # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
-    nu2_of = {b: mom_variance_rows(chunk, b) for b in set(v_of)}
-    a = _MOM_WIDTH * 2.0
-    return _combined_rows(chunk, m, (a * np.sqrt(nu2_of[b]) for b in v_of))
+    return _combined_rows(_adaptive_levels(chunk, m))

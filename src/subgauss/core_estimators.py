@@ -149,17 +149,19 @@ def _select(a: np.ndarray, r: int) -> np.ndarray:
     return a[..., r]
 
 
-def _chunk_sums(chunk: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Block sums of every row of a (T, n) chunk by one flat reduceat, which
-    releases the GIL: numpy's reduceat along an axis keeps it up to 500 rows."""
-    offsets = (np.arange(0, chunk.size, chunk.shape[1])[:, None] + starts).ravel()
-    return np.add.reduceat(chunk.ravel(), offsets).reshape(len(chunk), -1)
+def _block_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Block sums along the last axis.  A chunk (T, n) takes one flat reduceat,
+    which releases the GIL: numpy's reduceat along an axis keeps it up to 500 rows."""
+    if values.ndim == 1:
+        return np.add.reduceat(values, starts)
+    offsets = (np.arange(0, values.size, values.shape[1])[:, None] + starts).ravel()
+    return np.add.reduceat(values.ravel(), offsets).reshape(len(values), -1)
 
 
 def _block_means(values: np.ndarray, b: int) -> np.ndarray:
     """Means of the b blocks of one sample (n,) or of every row of a chunk (T, n)."""
     starts, sizes = _block_layout(values.shape[-1], b)
-    means = np.add.reduceat(values, starts) if values.ndim == 1 else _chunk_sums(values, starts)
+    means = _block_sums(values, starts)
     means /= sizes
     return means
 
@@ -168,6 +170,36 @@ def _mom(values: np.ndarray, b: int) -> np.ndarray:
     """Median of the b block means (1 <= b <= n) along the last axis:
     quantile_select(means, 0.5) takes 0-based rank ceil(b/2) - 1 = (b-1)//2."""
     return _select(_block_means(values, b), (b - 1) // 2)
+
+
+def _block_variances(values: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Unbiased variances of the blocks (>= 2 points each) of one sample (n,)
+    or every row of a chunk (T, n), about the means _block_means gave them.
+
+    Centred, unlike the one-pass sum of squares, which loses half its digits
+    on near-constant blocks far from zero.  The first n mod b blocks have q+1
+    values and the rest q, so two reshaped views broadcast the means without
+    a gather, into one scratch per call.
+    """
+    *lead, n = values.shape
+    b = means.shape[-1]
+    q, r = divmod(n, b)
+    split = r * (q + 1)
+    buf = np.empty(values.shape)
+    if r:
+        np.subtract(values[..., :split].reshape(*lead, r, q + 1), means[..., :r, None],
+                    out=buf[..., :split].reshape(*lead, r, q + 1))
+    np.subtract(values[..., split:].reshape(*lead, b - r, q), means[..., r:, None],
+                out=buf[..., split:].reshape(*lead, b - r, q))
+    np.multiply(buf, buf, out=buf)
+    starts, sizes = _block_layout(n, b)
+    # A sum of squares over m - 1 >= 1 is never below +0.0: no clamp is needed.
+    return _block_sums(buf, starts) / (sizes - 1)
+
+
+def _mom_variance(values: np.ndarray, b: int) -> np.ndarray:
+    """Median of the b block variances along the last axis (n // b >= 2)."""
+    return _select(_block_variances(values, _block_means(values, b)), (b - 1) // 2)
 
 
 def median_of_means_raw(sample, b: int) -> float:
@@ -246,28 +278,6 @@ def pairwise_block_variance(values) -> float:
     return max(ss / (m - 1), 0.0)
 
 
-@functools.lru_cache(maxsize=256)
-def _block_dof(n: int, b: int) -> np.ndarray:
-    """Read-only m - 1 of every block of _block_layout(n, b), as floats."""
-    dof = _block_layout(n, b)[1] - 1.0
-    dof.flags.writeable = False
-    return dof
-
-
-def _block_variance(values: np.ndarray, b: int) -> float:
-    """mom_variance of a validated sample whose blocks have >= 2 points."""
-    q, r = divmod(values.size, b)
-    variances = np.empty(b)
-    for blocks, out in ((values[: r * (q + 1)].reshape(r, q + 1), variances[:r]),
-                        (values[r * (q + 1) :].reshape(b - r, q), variances[r:])):
-        if blocks.size:
-            c = blocks - (np.add.reduce(blocks, axis=1) / blocks.shape[1])[:, None]
-            np.matmul(c[:, None, :], c[:, :, None], out=out.reshape(-1, 1, 1))
-    # A sum of squares over m - 1 >= 1 is never below +0.0: no clamp is needed.
-    np.divide(variances, _block_dof(values.size, b), out=variances)
-    return float(_select(variances, (b - 1) // 2))
-
-
 def mom_variance(sample, b: int) -> float:
     """Median of the per-block pairwise variances over a b-block partition.
 
@@ -275,18 +285,15 @@ def mom_variance(sample, b: int) -> float:
     2e*sqrt(6(kappa+3))*sigma^2*sqrt(b/n) with probability at most e^(-b),
     provided every block has at least 2 points.
 
-    Gather-free: the n mod b blocks of q+1 values and the rest of q values
-    are two reshaped views, centred by their row sums over the row length
-    (the pairwise sum and divide of a block's `.mean()`) and squared by
-    stacked `c @ c` (the BLAS dot of `centered @ centered`) into one b-length
-    buffer, divided once by every block's m - 1, so every block variance
-    keeps the bits of pairwise_block_variance on that block.
+    Each block is centred on its mean and its squares summed by reduceat
+    (_block_variances), as mom_variance_rows does for every row of a chunk,
+    so a sample and a one-row chunk agree bit for bit.
     """
     values = as_values(sample)
     n = values.size
     if b < 1 or n // b < 2:
         raise ValueError(f"every block needs at least 2 points (n={n}, b={b})")
-    return _block_variance(values, b)
+    return float(_mom_variance(values, b))
 
 
 def _quartiles(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._batch import _level_blocks, _levels
-from .core_estimators import _LN2, _MOM_WIDTH, _REG_RATE, ConfidenceInterval, _block_variance
+from . import _batch
+from .core_estimators import _LN2, _MOM_WIDTH, _REG_RATE, ConfidenceInterval
 from .core_estimators import _check_interval, _check_range, _floor_tol, _kreg_blocks, _kreg_check
 from .core_estimators import _quartiles
 # Not called here, but perfbench/spans.py wraps the core estimators under
@@ -96,12 +96,12 @@ def _check_sigma2_hi(sigma2_hi: float) -> None:
         raise ValueError("sigma2_hi must be finite and > 0")
 
 
-def _centered_levels(values, m: int, widths, finite: bool = False):
-    """Level bounds c -/+ r of _levels as Python floats (numpy scalars warn on
-    overflow), each checked like a ConfidenceInterval; finite adds adaptive's check."""
+def _centered_levels(levels, finite: bool = False):
+    """Level bounds c -/+ r of _batch._levels as Python floats (numpy scalars warn
+    on overflow), each checked like a ConfidenceInterval; finite adds adaptive's check."""
     los, his = [], []
-    for k, (c, r) in enumerate(_levels(values, m, widths), start=1):
-        c = float(c)
+    for k, (c, r) in enumerate(levels, start=1):
+        c, r = float(c), float(r)
         lo, hi = c - r, c + r
         if finite and not math.isfinite(lo):  # r < 1e160 when finite, so lo cannot overflow
             raise ValueError(f"adaptive level {k} (delta=2^-{k}) has centre {c!r} and radius "
@@ -116,11 +116,11 @@ def _family(levels) -> IntervalFamily:
     return IntervalFamily(tuple(map(ConfidenceInterval, *levels)))
 
 
-def _fixed_levels(values, sigma2_hi: float, delta_min: float):
+def _fixed_bounds(values, sigma2_hi: float, delta_min: float):
     """Level bounds of fixed_sigma_family on a validated sample."""
     _check_sigma2_hi(sigma2_hi)
     m = _family_depth(delta_min, values.size)
-    return _centered_levels(values, m, [_MOM_WIDTH * math.sqrt(sigma2_hi)] * m)
+    return _centered_levels(_batch._levels(values, m, [_MOM_WIDTH * math.sqrt(sigma2_hi)] * m))
 
 
 def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFamily:
@@ -130,17 +130,13 @@ def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFa
     radius 2*sqrt(2)*e*sqrt(sigma2_hi)*sqrt((1 + k ln 2)/n).  The family has
     m = floor(log2(1/delta_min)) - 1 levels.
     """
-    return _family(_fixed_levels(as_values(sample), sigma2_hi, delta_min))
+    return _family(_fixed_bounds(as_values(sample), sigma2_hi, delta_min))
 
 
-def _adaptive_levels(values, delta_min: float):
+def _adaptive_bounds(values, delta_min: float):
     """Level bounds of adaptive_family on a validated sample."""
     m = _family_depth(delta_min, values.size)
-    b_of = _level_blocks(m)[1]
-    # Levels share block counts (k = 1..9 use 6 distinct b_k): one pass each.
-    nu2_of = {b: _block_variance(values, b) for b in set(b_of)}
-    a = _MOM_WIDTH * 2.0
-    return _centered_levels(values, m, [a * math.sqrt(nu2_of[b]) for b in b_of], finite=True)
+    return _centered_levels(_batch._adaptive_levels(values, m), finite=True)
 
 
 def adaptive_family(sample, delta_min: float) -> IntervalFamily:
@@ -151,10 +147,10 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
     variance knowledge is required.  A level whose centre or radius is not
     finite (the sample's block sums overflow) is a ValueError.
     """
-    return _family(_adaptive_levels(as_values(sample), delta_min))
+    return _family(_adaptive_bounds(as_values(sample), delta_min))
 
 
-def _kreg_levels(values, k_reg: int, delta_min: float | None):
+def _kreg_bounds(values, k_reg: int, delta_min: float | None):
     """Level bounds of quantile_kreg_family on a validated sample."""
     n = values.size
     _kreg_check(n, k_reg)
@@ -180,7 +176,7 @@ def quantile_kreg_family(sample, k_reg: int, delta_min: float | None = None) -> 
     2^-1075 (1,074 levels): a deeper level's delta is below every positive
     float.
     """
-    return _family(_kreg_levels(as_values(sample), k_reg, delta_min))
+    return _family(_kreg_bounds(as_values(sample), k_reg, delta_min))
 
 
 def multiple_delta_estimate(sample, builder: str, *, sigma2_hi: float | None = None,
@@ -200,13 +196,13 @@ def multiple_delta_estimate(sample, builder: str, *, sigma2_hi: float | None = N
             raise ValueError("fixed_sigma builder requires sigma2_hi")
         if delta_min is None:
             raise ValueError("fixed_sigma builder requires delta_min")
-        levels = _fixed_levels(as_values(sample), sigma2_hi, delta_min)
+        levels = _fixed_bounds(as_values(sample), sigma2_hi, delta_min)
     elif builder == "adaptive":
         if delta_min is None:
             raise ValueError("adaptive builder requires delta_min")
-        levels = _adaptive_levels(as_values(sample), delta_min)
+        levels = _adaptive_bounds(as_values(sample), delta_min)
     elif builder == "quantile_kreg":
-        levels = _kreg_levels(as_values(sample), k_reg, delta_min)
+        levels = _kreg_bounds(as_values(sample), k_reg, delta_min)
     else:
         raise ValueError(f"unknown builder {builder!r}; expected one of {BUILDERS}")
     _, lo, hi = _combine(*levels)

@@ -15,12 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # the ufunc behind np.clip, called without np.clip's Python wrappers
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _clip
-
-from .core_estimators import _MOM_WIDTH, _block_variance, _mom
+from ._batch import _clipped_mean, _pipeline
+from .core_estimators import _MOM_WIDTH
 # median_of_means_raw and mom_variance are not called here, but
 # perfbench/spans.py wraps the core estimators under these names in this module.
 from .core_estimators import median_of_means_raw, mom_variance  # noqa: F401
@@ -65,11 +61,6 @@ def _check_window(mu: float, R: float) -> None:
         raise ValueError(f"mu must be finite, got {mu!r}")
 
 
-def _clipped_mean(values: np.ndarray, mu: float, R: float) -> float:
-    """np.clip(values, mu - R, mu + R).mean(), by the ufuncs behind both."""
-    return float(np.add.reduce(_clip(values, mu - R, mu + R))) / values.size
-
-
 def psi(mu: float, R: float, x):
     """Clip x (scalar or array) to the window [mu - R, mu + R], mu finite."""
     _check_window(mu, R)
@@ -83,7 +74,7 @@ def truncated_mean(sample, mu: float, R: float) -> float:
     """Arithmetic mean of the sample clipped to [mu - R, mu + R], mu finite."""
     values = as_values(sample)
     _check_window(mu, R)
-    return _clipped_mean(values, mu, R)
+    return float(_clipped_mean(values, mu - R, mu + R))
 
 
 def xi_terms(kappa: float, n: int, b_max: int) -> XiTerms:
@@ -116,15 +107,6 @@ def _check(n: int, b_max: int) -> None:
         raise ValueError("kurtosis_estimate needs n >= 4")
     if n // b_max < 2:
         raise ValueError(f"every block needs at least 2 points (n={n}, b_max={b_max})")
-
-
-def _pipeline(values: np.ndarray, b_max: int) -> tuple[float, float, float, float]:
-    """(mu_hat, nu2_hat, R_hat, estimate) of a validated sample, n // b_max >= 2."""
-    n = values.size
-    mu_hat = float(_mom(values, b_max))
-    nu2 = _block_variance(values, b_max)
-    r_hat = math.sqrt(nu2) * math.sqrt(n / (2.0 * b_max))
-    return mu_hat, nu2, r_hat, _clipped_mean(values, mu_hat, r_hat)
 
 
 def kurtosis_estimate(sample, config: KurtosisConfig) -> float:

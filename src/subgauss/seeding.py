@@ -21,6 +21,7 @@ _CHUNK_TARGET = 1 << 18
 _MAX_CHUNK_TRIALS = 4096
 
 _MASK64 = (1 << 64) - 1
+_UINT64 = np.dtype(np.uint64)  # native byte order
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -137,10 +138,11 @@ class _FixedState(ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         words = self._words
-        if n_words != words.size or np.dtype(dtype) != np.uint64:
+        # PCG64 passes the type np.uint64: test it by identity before building a dtype.
+        if n_words != words.size or (dtype is not np.uint64 and np.dtype(dtype) != _UINT64):
             raise ValueError("a precomputed state serves PCG64 seeding only")
         # PCG64 reads the words by raw pointer: a strided view seeds another stream.
-        if words.dtype != np.uint64 or not words.flags.c_contiguous:
+        if words.dtype != _UINT64 or not words.flags.c_contiguous:
             raise ValueError("a precomputed state must be C-contiguous native uint64 words")
         return words
 

@@ -4,12 +4,13 @@
 chunk draw in subgauss.distributions replaces, and `infvar_stress` the
 one-trial-at-a-time loop that the chunked stress test replaces.
 
-`mom_variance`, `fixed_sigma_family`, `adaptive_family`, `combine` and
-`pipeline` are
-the one-sample formulas that the gather-free block variance and the
-validate-once kernels replace: a Python loop of pairwise_block_variance over
-the blocks, and a median-of-means centre and block variance recomputed for
-every level.
+`fixed_sigma_family`, `adaptive_family`, `combine` and `pipeline` are the
+one-sample formulas that the validate-once kernels replace: a
+median-of-means centre and a block variance recomputed for every level.
+Their block variances are the rows formula below on a one-row chunk.
+`mom_variance` is the earlier one-sample block variance, a Python loop of
+pairwise_block_variance over the blocks; its bits differ, and
+tests/test_exact.py holds both within one bound of the exact value.
 
 The rest are untiled reference versions of the variance-based batch
 kernels: the straightforward whole-matrix formulas, where the block means
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from subgauss._batch import _LN2, _mom_block_count, combine_rows
+from subgauss._batch import _LN2, combine_rows
 from subgauss.adversarial import coupled_scaled_bernoulli
 from subgauss.core_estimators import (
     ConfidenceInterval,
@@ -93,6 +94,11 @@ def infvar_stress(estimator, n, delta, alpha, M, trials, seed, p=None):
     return fail_plus / trials, fail_minus / trials, match / trials
 
 
+def _mom_block_count(k: int) -> int:
+    """Block count of median_of_means at delta = 2^-k: max(1, ceil(k ln 2))."""
+    return max(1, _ceil_tol(-math.log(2.0**-k)))
+
+
 def _median_rows(mat: np.ndarray) -> np.ndarray:
     """quantile_select(row, 0.5) of every row: 0-based rank ceil(b/2) - 1."""
     r = (mat.shape[1] + 1) // 2 - 1
@@ -114,13 +120,17 @@ def mom_variance_rows(chunk: np.ndarray, b: int) -> np.ndarray:
     return _median_rows(var)
 
 
-def truncated_pipeline_rows(chunk: np.ndarray, b_max: int) -> np.ndarray:
+def pipeline_rows(chunk: np.ndarray, b_max: int) -> tuple:
     n = chunk.shape[1]
     mu = mom_rows(chunk, b_max)
     nu2 = mom_variance_rows(chunk, b_max)
     r = np.sqrt(nu2) * math.sqrt(n / (2.0 * b_max))
     clipped = np.clip(chunk, (mu - r)[:, None], (mu + r)[:, None])
-    return clipped.mean(axis=1)
+    return mu, nu2, r, clipped.mean(axis=1)
+
+
+def truncated_pipeline_rows(chunk: np.ndarray, b_max: int) -> np.ndarray:
+    return pipeline_rows(chunk, b_max)[3]
 
 
 def combined_adaptive_rows(chunk: np.ndarray, m: int) -> np.ndarray:
@@ -161,6 +171,11 @@ def median_of_means_at(values: np.ndarray, delta: float) -> float:
     return median_of_means(values, max(1, _ceil_tol(-math.log(delta))))
 
 
+def mom_variance_row(values: np.ndarray, b: int) -> float:
+    """mom_variance_rows on the one-row chunk of values."""
+    return float(mom_variance_rows(values[None], b)[0])
+
+
 def mom_variance(values: np.ndarray, b: int) -> float:
     part = partition_blocks(values.size, b)
     variances = [
@@ -191,7 +206,7 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
     b_m = max(2, _ceil_tol(m * _LN2))
     if n // b_m < 2:
         raise ValueError(f"sample too small for the deepest level (n={n}, b_{m}={b_m})")
-    nu2_of = [mom_variance(values, max(2, _ceil_tol(k * _LN2))) for k in range(1, m + 1)]
+    nu2_of = [mom_variance_row(values, max(2, _ceil_tol(k * _LN2))) for k in range(1, m + 1)]
     intervals = []
     for k in range(1, m + 1):
         center = median_of_means(values, _mom_block_count(k))
@@ -228,9 +243,5 @@ def combine(family: IntervalFamily) -> tuple[int, float, float]:
 
 
 def pipeline(values: np.ndarray, b_max: int) -> tuple[float, float, float, float]:
-    n = values.size
-    mu_hat = median_of_means(values, b_max)
-    nu2 = mom_variance(values, b_max)
-    r_hat = math.sqrt(nu2) * math.sqrt(n / (2.0 * b_max))
-    est = float(np.clip(values, mu_hat - r_hat, mu_hat + r_hat).mean())
-    return mu_hat, nu2, r_hat, est
+    """pipeline_rows on the one-row chunk of values."""
+    return tuple(float(v[0]) for v in pipeline_rows(values[None], b_max))

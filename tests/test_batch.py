@@ -1,13 +1,13 @@
 """Bit-for-bit parity of the batch variance kernels with their references.
 
 The kernels in subgauss._batch write their intermediates into one scratch
-buffer and compute each centre and block variance once per distinct block
-count; tests/reference.py holds the per-level, whole-matrix formulas they
+buffer and compute the block means of each distinct block count once;
+tests/reference.py holds the per-level, whole-matrix formulas they
 replace.
 Every case compares with np.array_equal, so any change in the order of a
-floating-point operation shows up as a failure.  The block-mean kernels are
-the one-sample ones, so each of their rows must also have the bits of a
-one-sample call on it.
+floating-point operation shows up as a failure.  The kernels are the
+one-sample ones over the last axis, so each of their rows must also have
+the bits of a one-sample call on it.
 """
 
 import numpy as np
@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from subgauss import _batch
-from subgauss.core_estimators import _ceil_tol, median_of_means_raw, quantile_interval_raw
+from subgauss import _batch, kurtosis_pipeline
+from subgauss.core_estimators import _ceil_tol, median_of_means_raw, mom_variance
+from subgauss.core_estimators import quantile_interval_raw
 from subgauss.interval_combiner import multiple_delta_estimate
 from subgauss.seeding import _MAX_CHUNK_TRIALS, chunk_bounds
 
@@ -109,7 +110,7 @@ def test_combined_adaptive_rows_matches_reference(data):
 @given(data=st.data())
 def test_combined_fixed_rows_matches_reference(data):
     m = data.draw(st.integers(1, 12))
-    n, _b = data.draw(layouts(b_min=_batch._mom_block_count(m), b_max=9))
+    n, _b = data.draw(layouts(b_min=_batch._level_blocks(m)[0][-1], b_max=9))
     x, _layout = data.draw(matrices(n))
     sigma2_hi = data.draw(st.sampled_from([0.25, 1.0, 1e6]))
     got = _batch.combined_fixed_rows(x, m, sigma2_hi)
@@ -121,26 +122,46 @@ def _bits(value) -> int:
     return int(np.float64(value).view(np.int64))
 
 
+def _bits_or_none(fn, *args, **kwargs):
+    """The bits of fn's value, or None where fn raises (a level's delta is
+    outside the range at this n, or a block sum overflows)."""
+    try:
+        return _bits(fn(*args, **kwargs))
+    except ValueError:
+        return None
+
+
 @COMMON
 @given(data=st.data())
 def test_rows_match_one_sample_calls(data):
     n, b = data.draw(layouts())
     x, _layout = data.draw(matrices(n))
-    m = data.draw(st.sampled_from([m for m in range(1, 13) if _batch._mom_block_count(m) <= n]))
+    m = data.draw(st.sampled_from([m for m in range(1, 13) if _batch._level_blocks(m)[0][-1] <= n]))
     sigma2_hi = data.draw(st.sampled_from([0.25, 1.0, 1e6]))
+    delta_min = 2.0 ** -(m + 1)
     mom = _batch.mom_rows(x, b)
     mid = _batch.kreg_midpoint_rows(x, b)
+    var = _batch.mom_variance_rows(x, b)
+    truncated = _batch.truncated_pipeline_rows(x, b)
     fixed = _batch.combined_fixed_rows(x, m, sigma2_hi)
+    adaptive = None
+    if n // _batch._level_blocks(m)[1][-1] >= 2:  # 2 points a block at the deepest level
+        adaptive = _batch.combined_adaptive_rows(x, m)
     for i, row in enumerate(x):
         assert _bits(mom[i]) == _bits(median_of_means_raw(row, b))
         assert _bits(mid[i]) == _bits(quantile_interval_raw(row, b).midpoint)
-        try:
-            want = multiple_delta_estimate(
-                row, "fixed_sigma", sigma2_hi=sigma2_hi, delta_min=2.0 ** -(m + 1)
-            )
-        except ValueError:  # delta_min outside the range at this n
-            continue
-        assert _bits(fixed[i]) == _bits(want)
+        assert _bits(var[i]) == _bits(mom_variance(row, b))
+        assert _bits(truncated[i]) == _bits(kurtosis_pipeline._pipeline(row, b)[3])
+        want = _bits_or_none(
+            multiple_delta_estimate, row, "fixed_sigma", sigma2_hi=sigma2_hi, delta_min=delta_min
+        )
+        if want is not None:
+            assert _bits(fixed[i]) == want
+    # The first, middle and last rows: an adaptive estimate takes about 0.1 ms.
+    for i in sorted({0, len(x) // 2, len(x) - 1}):
+        want = _bits_or_none(multiple_delta_estimate, x[i], "adaptive", delta_min=delta_min)
+        if want is not None:
+            assert _bits(adaptive[i]) == want
 
 
 @COMMON
@@ -160,33 +181,53 @@ def test_constant_rows_have_zero_variance(layout, t, mantissa, exponent):
     assert np.array_equal(_batch.truncated_pipeline_rows(x, b), x[:, 0])
 
 
+class _Counting:
+    """Records the block count of every call of the shared block-means and
+    block-variance kernels, as _batch looks them up."""
+
+    def __init__(self, monkeypatch):
+        self.means, self.variances = [], []
+        real_means, real_variances = _batch.block_mean_rows, _batch._block_variances
+
+        def means(x, b):
+            self.means.append(b)
+            return real_means(x, b)
+
+        def variances(x, block_means):
+            self.variances.append(block_means.shape[-1])
+            return real_variances(x, block_means)
+
+        monkeypatch.setattr(_batch, "block_mean_rows", means)
+        monkeypatch.setattr(_batch, "_block_variances", variances)
+
+
+# One sample and a chunk: the compositions are written once over the last axis.
+SHAPES = ((64,), (3, 64))
+
+
 def test_variance_once_per_distinct_block_count(monkeypatch):
-    calls = []
-    real = _batch.mom_variance_rows
-
-    def counting(chunk, b):
-        calls.append(b)
-        return real(chunk, b)
-
-    monkeypatch.setattr(_batch, "mom_variance_rows", counting)
-    x = np.random.default_rng(0).standard_normal((3, 64))
-    _batch.combined_adaptive_rows(x, 9)
-    assert sorted(calls) == [2, 3, 4, 5, 6, 7]
+    # At m = 9 the variance block counts max(2, ceil(k ln 2)) are
+    # 2, 2, 3, 3, 4, 5, 5, 6, 7: six distinct counts, six passes.  The
+    # truncated-mean pipeline takes one block-means and one variance pass.
+    for shape in SHAPES:
+        x = np.random.default_rng(0).standard_normal(shape)
+        counting = _Counting(monkeypatch)
+        _batch._adaptive_levels(x, 9)
+        assert sorted(counting.variances) == [2, 3, 4, 5, 6, 7], shape
+        counting = _Counting(monkeypatch)
+        _batch._pipeline(x, 8)
+        assert (counting.means, counting.variances) == ([8], [8]), shape
 
 
 @pytest.mark.parametrize("kernel", ["fixed", "adaptive"])
 def test_centers_once_per_distinct_block_count(monkeypatch, kernel):
-    calls = []
-    real = _batch.mom_rows
-
-    def counting(chunk, b):
-        calls.append(b)
-        return real(chunk, b)
-
-    monkeypatch.setattr(_batch, "mom_rows", counting)
-    x = np.random.default_rng(1).standard_normal((3, 64))
-    if kernel == "fixed":
-        _batch.combined_fixed_rows(x, 9, 1.0)
-    else:
-        _batch.combined_adaptive_rows(x, 9)
-    assert sorted(calls) == [1, 2, 3, 4, 5, 6, 7]
+    # One block-means pass per distinct block count of levels 1..9, which
+    # the adaptive variances share: b = 1..7.
+    for shape in SHAPES:
+        x = np.random.default_rng(1).standard_normal(shape)
+        counting = _Counting(monkeypatch)
+        if kernel == "fixed":
+            _batch._levels(x, 9, [1.0] * 9)
+        else:
+            _batch._adaptive_levels(x, 9)
+        assert sorted(counting.means) == [1, 2, 3, 4, 5, 6, 7], shape

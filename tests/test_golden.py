@@ -245,6 +245,15 @@ def main(argv) -> int:
             "one_sample": compute_one_sample(),
             "messages": compute_messages(),
         }
+    # Name every entry that moved, so that a regeneration can be checked
+    # against the change that caused it.
+    before = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    if before.get("numpy") != golden["numpy"]:
+        print(f"changed numpy: {before.get('numpy')} -> {golden['numpy']}")
+    for section in ("reports", "multi_chunk", "one_sample", "messages"):
+        was, now = before.get(section, {}), golden[section]
+        for key in sorted(k for k in was.keys() | now.keys() if was.get(k) != now.get(k)):
+            print(f"changed {section}: {key}: {was.get(key)} -> {now.get(key)}")
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
     return 0

@@ -21,7 +21,6 @@ from subgauss import (
     quantile_kreg_family,
     sample,
 )
-from subgauss._batch import _variance_block_count
 
 LN2 = math.log(2.0)
 
@@ -179,7 +178,7 @@ class TestAdaptiveFamily:
             lower = max(lower, math.ulp(0.0))
             for delta_min in [lower * (1.0 - 1e-12), *np.geomspace(lower, 0.25, 8).tolist()]:
                 m = combiner_module._family_depth(delta_min, n)
-                b_m = _variance_block_count(m)
+                b_m = batch_module._level_blocks(m)[1][-1]
                 assert n // b_m >= 2, (n, delta_min, m, b_m)
 
     def test_coverage_at_every_level(self):
@@ -237,15 +236,17 @@ class TestSharedCenters:
 
     @pytest.mark.parametrize("builder", ["fixed_sigma", "adaptive"])
     def test_one_center_per_distinct_block_count(self, monkeypatch, builder):
+        # One block-means pass per distinct block count of levels 1..9; the
+        # adaptive variances read the same passes.
         blocks = []
-        real = batch_module.mom_rows
+        real = batch_module.block_mean_rows
 
         def counting(values, b):
             blocks.append(b)
             return real(values, b)
 
-        # The one-sample levels take their centres from _batch._levels.
-        monkeypatch.setattr(batch_module, "mom_rows", counting)
+        # The one-sample levels take their block means from _batch.
+        monkeypatch.setattr(batch_module, "block_mean_rows", counting)
         values = sample(parse_distribution("gaussian:0,1"), 256, 12).values
         multiple_delta_estimate(values, builder, sigma2_hi=1.0, delta_min=2.0**-10)
         assert sorted(blocks) == [1, 2, 3, 4, 5, 6, 7]
@@ -254,13 +255,13 @@ class TestSharedCenters:
         # At m = 9 the variance block counts max(2, ceil(k ln 2)) are
         # 2, 2, 3, 3, 4, 5, 5, 6, 7: six distinct counts, six passes.
         blocks = []
-        real = combiner_module._block_variance
+        real = batch_module._block_variances
 
-        def counting(values, b):
-            blocks.append(b)
-            return real(values, b)
+        def counting(values, means):
+            blocks.append(means.shape[-1])
+            return real(values, means)
 
-        monkeypatch.setattr(combiner_module, "_block_variance", counting)
+        monkeypatch.setattr(batch_module, "_block_variances", counting)
         values = sample(parse_distribution("gaussian:0,1"), 256, 12).values
         multiple_delta_estimate(values, "adaptive", delta_min=2.0**-10)
         assert sorted(blocks) == [2, 3, 4, 5, 6, 7]
