@@ -9,11 +9,11 @@ sample (n,) and a chunk alike.  So every kernel gives each row the bits of
 the one-sample call on it.
 
 The variance and truncation kernels write every elementwise intermediate
-into one scratch buffer of their input's shape, allocated per call, so
-concurrent calls on threads share nothing; seeding.chunk_bounds sizes the
-chunks they are handed.  An estimate takes the block means of each
-distinct block count once: the combined levels' centres and variances, and
-the pipeline's centre and spread, read the same means.
+into scratch allocated per call, so concurrent calls on threads share
+nothing; seeding.chunk_bounds sizes the chunks they are handed.  An
+estimate sums the block means of its distinct block counts once, in one
+reduceat a group of layouts: the combined levels' centres and variances,
+and the pipeline's centre and spread, read the same means.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ def _pipeline(x: np.ndarray, b_max: int) -> tuple:
     """Truncated-mean pipeline (mu, nu2, R, estimate) of one sample (n,), as floats,
     or of every row of a chunk (T, n) (n // b_max >= 2): median block mean and block
     variance, R = sqrt(nu2 n/(2 b_max)), and the mean clipped to mu -/+ R."""
-    means = block_mean_rows(x, b_max)
+    means = block_mean_rows(x, (b_max,))
     # The variances read the means in block order, before _select partitions them.
-    nu2 = _select(_block_variances(x, means), (b_max - 1) // 2)
-    mu = _select(means, (b_max - 1) // 2)
+    nu2 = _select(_block_variances(x, means)[0], (b_max - 1) // 2)
+    mu = _select(means[0], (b_max - 1) // 2)
     r = np.sqrt(nu2) * math.sqrt(x.shape[-1] / (2.0 * b_max))
     if x.ndim == 1:  # Python floats: numpy scalars warn on inf - inf
         mu, nu2, r = float(mu), float(nu2), float(r)
@@ -83,11 +83,12 @@ def combine_rows(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 @functools.lru_cache(maxsize=64)
-def _level_blocks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Centre and variance block counts of levels k = 1..m: median_of_means's
-    at delta = 2^(-k), and adaptive_family's max(2, ceil(k ln 2))."""
-    ks = range(1, m + 1)
-    return tuple(_mom_count(2.0**-k) for k in ks), tuple(max(2, _ceil_tol(k * _LN2)) for k in ks)
+def _level_blocks(m: int) -> tuple[tuple[int, ...], ...]:
+    """Centre and variance block counts of levels k = 1..m (median_of_means's at 2^(-k),
+    adaptive_family's max(2, ceil(k ln 2))), then distinct centre, variance and all counts."""
+    b_of = tuple(_mom_count(2.0**-k) for k in range(1, m + 1))
+    v_of = tuple(max(2, _ceil_tol(k * _LN2)) for k in range(1, m + 1))
+    return b_of, v_of, *(tuple(sorted(set(c))) for c in (b_of, v_of, b_of + v_of))
 
 
 def _levels(x: np.ndarray, m: int, widths, means: dict | None = None) -> list[tuple]:
@@ -95,21 +96,22 @@ def _levels(x: np.ndarray, m: int, widths, means: dict | None = None) -> list[tu
     (T, n): the median-of-means at delta = 2^(-k), and the k-th width times
     sqrt((1 + k ln 2)/n).  The centres partition the block means that means
     holds at each centre block count, or that are computed here."""
-    b_of = _level_blocks(m)[0]
-    means = means or {b: block_mean_rows(x, b) for b in set(b_of)}
-    mom_of = {b: _select(means[b], (b - 1) // 2) for b in set(b_of)}
+    b_of, _, bs, _, _ = _level_blocks(m)
+    means = means or dict(zip(bs, block_mean_rows(x, bs)))
+    mom_of = {b: _select(means[b], (b - 1) // 2) for b in bs}
     n = x.shape[-1]
     return [(mom_of[b], w * _level_radius(k, n)) for k, (b, w) in enumerate(zip(b_of, widths), 1)]
 
 
 def _adaptive_levels(x: np.ndarray, m: int) -> list[tuple]:
     """Levels whose radii come from per-level block-variance estimates."""
-    b_of, v_of = _level_blocks(m)
-    # One pass over x a block count (k = 1..9 use 7) serves the centres and the
+    _, v_of, _, vs, both = _level_blocks(m)
+    # One group of block means (k = 1..9 use 7 counts) serves the centres and the
     # variances, which read the means in block order, before _levels partitions them.
-    means = {b: block_mean_rows(x, b) for b in {*b_of, *v_of}}
-    nu2_of = {b: _select(_block_variances(x, means[b]), (b - 1) // 2) for b in set(v_of)}
-    return _levels(x, m, [2.0 * _MOM_WIDTH * np.sqrt(nu2_of[b]) for b in v_of], means)
+    means = dict(zip(both, block_mean_rows(x, both)))
+    width_of = {b: 2.0 * _MOM_WIDTH * np.sqrt(_select(v, (b - 1) // 2))
+                for b, v in zip(vs, _block_variances(x, [means[b] for b in vs]))}
+    return _levels(x, m, [width_of[b] for b in v_of], means)
 
 
 def _combined_rows(levels) -> np.ndarray:

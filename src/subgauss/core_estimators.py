@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeding
 from .distributions import as_values
 
 __all__ = [
@@ -149,57 +150,99 @@ def _select(a: np.ndarray, r: int) -> np.ndarray:
     return a[..., r]
 
 
-def _block_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Block sums along the last axis.  A chunk (T, n) takes one flat reduceat,
-    which releases the GIL: numpy's reduceat along an axis keeps it up to 500 rows."""
-    if values.ndim == 1:
-        return np.add.reduceat(values, starts)
-    offsets = (np.arange(0, values.size, values.shape[1])[:, None] + starts).ravel()
-    return np.add.reduceat(values.ravel(), offsets).reshape(len(values), -1)
+@functools.lru_cache(maxsize=256)
+def _block_plan(shape: tuple[int, ...], bs: tuple[int, ...], centred: bool, target: int) -> tuple:
+    """(offsets, divisors, parts, chunk, out, scratch) of each group's flat
+    np.add.reduceat, a group being as many layouts of bs as fit target values
+    stacked, over values of shape (*lead, n).  offsets are one row's: block
+    means sum the values, each layout from 0, and in groups of two or more a
+    separator at n (the next row's first value, or a pad after the last row)
+    ends each layout's last block; variances sum a scratch (*lead, G, n),
+    layout g from g * n.  chunk = (rows * stride, stride) repeats them a row.
+    parts: each layout's slice of a row's sums and _group_variances's views."""
+    *lead, n = shape
+    rows = math.prod(lead)
+    step = max(1, target // (rows * n))
+    plan = []
+    for i in range(0, len(bs), step):
+        group = bs[i : i + step]
+        separated = not centred and len(group) > 1
+        offsets, divisors, parts, at = [], [], [], 0
+        for g, b in enumerate(group):
+            starts, sizes = _block_layout(n, b)
+            offsets.append(starts + g * n if centred else starts)
+            divisors.append(sizes - 1 if centred else sizes)
+            q, r = divmod(n, b)
+            parts.append(((at, at + b), (r, r * (q + 1), (-1, r, q + 1), (-1, b - r, q))))
+            at += b + separated
+            if separated:
+                offsets.append([n])
+                divisors.append([1])
+        offsets, divisors = np.concatenate(offsets), np.concatenate(divisors).astype(np.float64)
+        offsets.flags.writeable = divisors.flags.writeable = False
+        stride = len(group) * n if centred else n
+        chunk = (rows * stride, stride) if rows > 1 else None
+        plan.append((offsets, divisors, tuple(parts), chunk, (*lead, -1), (*lead, len(group), n)))
+    return tuple(plan)
 
 
-def _block_means(values: np.ndarray, b: int) -> np.ndarray:
-    """Means of the b blocks of one sample (n,) or of every row of a chunk (T, n)."""
-    starts, sizes = _block_layout(values.shape[-1], b)
-    means = _block_sums(values, starts)
-    means /= sizes
-    return means
+def _sum_blocks(flat: np.ndarray, group: tuple) -> list[np.ndarray]:
+    """A group's divided block sums over flat, one view a layout.  A flat reduceat
+    releases the GIL; numpy's reduceat along an axis keeps it up to 500 rows."""
+    offsets, divisors, parts, chunk, out, _ = group
+    offsets = (np.arange(0, *chunk)[:, None] + offsets).ravel() if chunk else offsets
+    sums = np.add.reduceat(flat, offsets).reshape(out)
+    sums /= divisors
+    return [sums] if len(parts) == 1 else [sums[..., lo:hi] for (lo, hi), _ in parts]
+
+
+def _block_means(values: np.ndarray, bs: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Means of the blocks of each b-block layout in bs (1 <= b <= n), of one
+    sample (n,) or of every row of a chunk (T, n): one reduceat a group."""
+    means = []
+    for group in _block_plan(values.shape, bs, False, seeding._CHUNK_TARGET):
+        flat = values.ravel() if len(group[2]) == 1 else np.concatenate((values, (0.0,)), None)
+        means += _sum_blocks(flat, group)
+    return tuple(means)
 
 
 def _mom(values: np.ndarray, b: int) -> np.ndarray:
     """Median of the b block means (1 <= b <= n) along the last axis:
     quantile_select(means, 0.5) takes 0-based rank ceil(b/2) - 1 = (b-1)//2."""
-    return _select(_block_means(values, b), (b - 1) // 2)
+    return _select(_block_means(values, (b,))[0], (b - 1) // 2)
 
 
-def _block_variances(values: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Unbiased variances of the blocks (>= 2 points each) of one sample (n,)
-    or every row of a chunk (T, n), about the means _block_means gave them.
-
-    Centred, unlike the one-pass sum of squares, which loses half its digits
-    on near-constant blocks far from zero.  The first n mod b blocks have q+1
-    values and the rest q, so two reshaped views broadcast the means without
-    a gather, into one scratch per call.
-    """
-    *lead, n = values.shape
-    b = means.shape[-1]
-    q, r = divmod(n, b)
-    split = r * (q + 1)
-    buf = np.empty(values.shape)
-    if r:
-        np.subtract(values[..., :split].reshape(*lead, r, q + 1), means[..., :r, None],
-                    out=buf[..., :split].reshape(*lead, r, q + 1))
-    np.subtract(values[..., split:].reshape(*lead, b - r, q), means[..., r:, None],
-                out=buf[..., split:].reshape(*lead, b - r, q))
+def _group_variances(values: np.ndarray, means, group: tuple) -> list[np.ndarray]:
+    """Block variances of a group's layouts, centred into one scratch, squared
+    and summed once.  The first n mod b blocks have q+1 values and the rest q,
+    so two reshaped views broadcast a layout's means without a gather."""
+    _, _, parts, _, _, scratch = group
+    buf = np.empty(scratch)
+    for g, (mu, (_, (r, split, head, tail))) in enumerate(zip(means, parts)):
+        out = buf[..., g, :]
+        if r:
+            np.subtract(values[..., :split].reshape(head), mu[..., :r, None],
+                        out=out[..., :split].reshape(head))
+        np.subtract(values[..., split:].reshape(tail), mu[..., r:, None],
+                    out=out[..., split:].reshape(tail))
     np.multiply(buf, buf, out=buf)
-    starts, sizes = _block_layout(n, b)
-    # A sum of squares over m - 1 >= 1 is never below +0.0: no clamp is needed.
-    return _block_sums(buf, starts) / (sizes - 1)
+    return _sum_blocks(buf.ravel(), group)
+
+
+def _block_variances(values: np.ndarray, means) -> tuple[np.ndarray, ...]:
+    """Unbiased variances of the blocks (>= 2 points each) of one sample (n,) or every
+    row of a chunk (T, n) about _block_means's means, centred: a one-pass sum of squares
+    loses half its digits on near-constant blocks far from zero.  Never below +0.0."""
+    variances = []
+    bs = tuple([mu.shape[-1] for mu in means])
+    for group in _block_plan(values.shape, bs, True, seeding._CHUNK_TARGET):
+        variances += _group_variances(values, means[len(variances) :], group)
+    return tuple(variances)
 
 
 def _mom_variance(values: np.ndarray, b: int) -> np.ndarray:
     """Median of the b block variances along the last axis (n // b >= 2)."""
-    return _select(_block_variances(values, _block_means(values, b)), (b - 1) // 2)
+    return _select(_block_variances(values, _block_means(values, (b,)))[0], (b - 1) // 2)
 
 
 def median_of_means_raw(sample, b: int) -> float:
@@ -285,9 +328,8 @@ def mom_variance(sample, b: int) -> float:
     2e*sqrt(6(kappa+3))*sigma^2*sqrt(b/n) with probability at most e^(-b),
     provided every block has at least 2 points.
 
-    Each block is centred on its mean and its squares summed by reduceat
-    (_block_variances), as mom_variance_rows does for every row of a chunk,
-    so a sample and a one-row chunk agree bit for bit.
+    The kernel (_block_variances) is mom_variance_rows's, so a sample and a
+    one-row chunk agree bit for bit.
     """
     values = as_values(sample)
     n = values.size
@@ -300,7 +342,7 @@ def _quartiles(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     """Quartiles of the b block means (1 <= b <= n) along the last axis.
     Each partitions the means in their built order, as quantile_select
     does, so a tie of 0.0 and -0.0 keeps its zero."""
-    means = _block_means(values, b)
+    means = _block_means(values, (b,))[0]
     return _select(means.copy(), _rank(0.25, b) - 1), _select(means, _rank(0.75, b) - 1)
 
 

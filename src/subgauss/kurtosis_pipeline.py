@@ -135,14 +135,13 @@ def kurtosis_estimate(sample, config: KurtosisConfig) -> float:
     eps_r = 2.0 * math.e * math.sqrt(3.0 * (kappa + 3.0))
     half = math.sqrt(n / (2.0 * b))
     window = 2.0 * (eps_mu + eps_r)
-    for fails, message in (
-        (cond > 1.0, "variance-estimate concentration condition fails: "
-                     f"96*e*(kappa+3)*b_max/n = {cond:.4g} > 1"),
-        (window > half, f"truncation window may be unstable: 2*(eps_mu + eps_R) = {window:.4g} "
-                        f"exceeds sqrt(n/(2*b_max)) = {half:.4g}"),
-        (eps_mu > math.sqrt(kappa), f"center-accuracy assumption fails: eps_mu = {eps_mu:.4g} "
-                                    f"exceeds sqrt(kappa_bound) = {math.sqrt(kappa):.4g}"),
-    ):
-        if fails:
-            warnings.warn(message, RuntimeWarning, stacklevel=2)
+    if cond > 1.0:
+        warnings.warn("variance-estimate concentration condition fails: "
+                      f"96*e*(kappa+3)*b_max/n = {cond:.4g} > 1", RuntimeWarning, stacklevel=2)
+    if window > half:
+        warnings.warn(f"truncation window may be unstable: 2*(eps_mu + eps_R) = {window:.4g} "
+                      f"exceeds sqrt(n/(2*b_max)) = {half:.4g}", RuntimeWarning, stacklevel=2)
+    if eps_mu > math.sqrt(kappa):
+        warnings.warn(f"center-accuracy assumption fails: eps_mu = {eps_mu:.4g} exceeds "
+                      f"sqrt(kappa_bound) = {math.sqrt(kappa):.4g}", RuntimeWarning, stacklevel=2)
     return _pipeline(values, b)[3]

@@ -11,6 +11,8 @@ Their block variances are the rows formula below on a one-row chunk.
 `mom_variance` is the earlier one-sample block variance, a Python loop of
 pairwise_block_variance over the blocks; its bits differ, and
 tests/test_exact.py holds both within one bound of the exact value.
+`block_means`, `block_variances` and `levels` are the per-layout passes
+that the grouped block sums replace, on one sample or a chunk alike.
 
 The rest are untiled reference versions of the variance-based batch
 kernels: the straightforward whole-matrix formulas, where the block means
@@ -100,9 +102,10 @@ def _mom_block_count(k: int) -> int:
 
 
 def _median_rows(mat: np.ndarray) -> np.ndarray:
-    """quantile_select(row, 0.5) of every row: 0-based rank ceil(b/2) - 1."""
-    r = (mat.shape[1] + 1) // 2 - 1
-    return np.partition(mat, r, axis=1)[:, r]
+    """quantile_select(row, 0.5) of every row, or of one sample: 0-based rank
+    ceil(b/2) - 1 along the last axis."""
+    r = (mat.shape[-1] + 1) // 2 - 1
+    return np.partition(mat, r, axis=-1)[..., r]
 
 
 def mom_rows(chunk: np.ndarray, b: int) -> np.ndarray:
@@ -159,6 +162,38 @@ def combined_fixed_rows(chunk: np.ndarray, m: int, sigma2_hi: float) -> np.ndarr
         los[:, k - 1] = centers - radius
         his[:, k - 1] = centers + radius
     return combine_rows(los, his)[0]
+
+
+def block_means(values: np.ndarray, b: int) -> np.ndarray:
+    """Block means of the b-block layout along the last axis, one reduceat a
+    layout: the passes that the grouped sums of core_estimators replace."""
+    starts, sizes = _block_layout(values.shape[-1], b)
+    return np.add.reduceat(values, starts, axis=-1) / sizes
+
+
+def block_variances(values: np.ndarray, b: int) -> np.ndarray:
+    """Unbiased block variances of the b-block layout along the last axis,
+    about block_means gathered back to full length, one reduceat a layout."""
+    starts, sizes = _block_layout(values.shape[-1], b)
+    centred = values - block_means(values, b)[..., np.repeat(np.arange(b), sizes)]
+    return np.add.reduceat(centred * centred, starts, axis=-1) / (sizes - 1)
+
+
+def levels(values: np.ndarray, m: int, widths=None) -> list[tuple]:
+    """(centre, radius) of levels k = 1..m of one sample or a chunk, as
+    _batch._levels gives them (widths given) or _batch._adaptive_levels
+    (widths None), with one block-means and one block-variance pass a level."""
+    n = values.shape[-1]
+    out = []
+    for k in range(1, m + 1):
+        if widths is None:
+            nu2 = _median_rows(block_variances(values, max(2, _ceil_tol(k * _LN2))))
+            width = 2.0 * (2.0 * math.sqrt(2.0) * math.e) * np.sqrt(nu2)
+        else:
+            width = widths[k - 1]
+        radius = width * math.sqrt((1.0 + k * _LN2) / n)
+        out.append((_median_rows(block_means(values, _mom_block_count(k))), radius))
+    return out
 
 
 def median_of_means(values: np.ndarray, b: int) -> float:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from subgauss import _batch, kurtosis_pipeline
+from subgauss import _batch, core_estimators, kurtosis_pipeline, seeding
 from subgauss.core_estimators import _ceil_tol, median_of_means_raw, mom_variance
 from subgauss.core_estimators import quantile_interval_raw
 from subgauss.interval_combiner import multiple_delta_estimate
@@ -182,23 +182,36 @@ def test_constant_rows_have_zero_variance(layout, t, mantissa, exponent):
 
 
 class _Counting:
-    """Records the block count of every call of the shared block-means and
-    block-variance kernels, as _batch looks them up."""
+    """Records the block counts of every call of the shared block-means and
+    block-variance kernels, as _batch looks them up, and of every flat
+    reduceat they make (core_estimators._sum_blocks, one a group of layouts)."""
 
     def __init__(self, monkeypatch):
-        self.means, self.variances = [], []
-        real_means, real_variances = _batch.block_mean_rows, _batch._block_variances
+        self.means, self.variances = [], []  # block counts, a kernel call each
+        self.groups = {"means": [], "variances": []}  # block counts, a reduceat each
+        real_sums = core_estimators._sum_blocks
+        kind = []
 
-        def means(x, b):
-            self.means.append(b)
-            return real_means(x, b)
+        def recording(name, real, calls):
+            def kernel(x, arg):
+                calls.append([a if isinstance(a, int) else a.shape[-1] for a in arg])
+                kind.append(name)
+                try:
+                    return real(x, arg)
+                finally:
+                    kind.pop()
+            return kernel
 
-        def variances(x, block_means):
-            self.variances.append(block_means.shape[-1])
-            return real_variances(x, block_means)
+        def sums(*args):
+            out = real_sums(*args)
+            self.groups[kind[-1]].append([s.shape[-1] for s in out])
+            return out
 
-        monkeypatch.setattr(_batch, "block_mean_rows", means)
-        monkeypatch.setattr(_batch, "_block_variances", variances)
+        monkeypatch.setattr(_batch, "block_mean_rows",
+                            recording("means", _batch.block_mean_rows, self.means))
+        monkeypatch.setattr(_batch, "_block_variances",
+                            recording("variances", _batch._block_variances, self.variances))
+        monkeypatch.setattr(core_estimators, "_sum_blocks", sums)
 
 
 # One sample and a chunk: the compositions are written once over the last axis.
@@ -207,22 +220,25 @@ SHAPES = ((64,), (3, 64))
 
 def test_variance_once_per_distinct_block_count(monkeypatch):
     # At m = 9 the variance block counts max(2, ceil(k ln 2)) are
-    # 2, 2, 3, 3, 4, 5, 5, 6, 7: six distinct counts, six passes.  The
+    # 2, 2, 3, 3, 4, 5, 5, 6, 7: six distinct counts, one kernel call and,
+    # since all six fit the chunk budget stacked, one reduceat.  The
     # truncated-mean pipeline takes one block-means and one variance pass.
     for shape in SHAPES:
         x = np.random.default_rng(0).standard_normal(shape)
         counting = _Counting(monkeypatch)
         _batch._adaptive_levels(x, 9)
-        assert sorted(counting.variances) == [2, 3, 4, 5, 6, 7], shape
+        assert counting.variances == [[2, 3, 4, 5, 6, 7]], shape
+        assert counting.groups["variances"] == [[2, 3, 4, 5, 6, 7]], shape
         counting = _Counting(monkeypatch)
         _batch._pipeline(x, 8)
-        assert (counting.means, counting.variances) == ([8], [8]), shape
+        assert (counting.means, counting.variances) == ([[8]], [[8]]), shape
+        assert counting.groups == {"means": [[8]], "variances": [[8]]}, shape
 
 
 @pytest.mark.parametrize("kernel", ["fixed", "adaptive"])
 def test_centers_once_per_distinct_block_count(monkeypatch, kernel):
-    # One block-means pass per distinct block count of levels 1..9, which
-    # the adaptive variances share: b = 1..7.
+    # One block-means call for the distinct block counts of levels 1..9,
+    # which the adaptive variances share: b = 1..7, in one reduceat.
     for shape in SHAPES:
         x = np.random.default_rng(1).standard_normal(shape)
         counting = _Counting(monkeypatch)
@@ -230,4 +246,27 @@ def test_centers_once_per_distinct_block_count(monkeypatch, kernel):
             _batch._levels(x, 9, [1.0] * 9)
         else:
             _batch._adaptive_levels(x, 9)
-        assert sorted(counting.means) == [1, 2, 3, 4, 5, 6, 7], shape
+        assert counting.means == [[1, 2, 3, 4, 5, 6, 7]], shape
+        assert counting.groups["means"] == [[1, 2, 3, 4, 5, 6, 7]], shape
+
+
+@pytest.mark.parametrize("fit, means, variances", [
+    (1, [[1], [2], [3], [4], [5], [6], [7]], [[2], [3], [4], [5], [6], [7]]),
+    (2, [[1, 2], [3, 4], [5, 6], [7]], [[2, 3], [4, 5], [6, 7]]),
+    (3, [[1, 2, 3], [4, 5, 6], [7]], [[2, 3, 4], [5, 6, 7]]),
+])
+def test_group_holds_the_layouts_that_fit_the_chunk_target(monkeypatch, fit, means, variances):
+    # A group stacks as many layouts as fit seeding._CHUNK_TARGET values, so
+    # a full harness chunk (fit = 1) sums one layout a reduceat.  The levels'
+    # bytes do not depend on the grouping.
+    def level_bytes(x):
+        return [np.asarray(v).tobytes() for level in _batch._adaptive_levels(x, 9) for v in level]
+
+    for shape in SHAPES:
+        x = np.random.default_rng(2).standard_normal(shape)
+        want = level_bytes(x)
+        monkeypatch.setattr(seeding, "_CHUNK_TARGET", (fit + 1) * x.size - 1)
+        counting = _Counting(monkeypatch)
+        got = level_bytes(x)
+        assert counting.groups == {"means": means, "variances": variances}, shape
+        assert got == want, shape

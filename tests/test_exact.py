@@ -40,7 +40,7 @@ from exact import CLIP_ULPS, MEANS_ULPS, VARIANCE_ULPS
 from test_batch import layouts as row_layouts, matrices
 from test_one_sample import layouts, samples
 from subgauss import _batch
-from subgauss.core_estimators import _block_means, mom_variance
+from subgauss.core_estimators import _block_means, _block_variances, _select, mom_variance
 
 COMMON = settings(deadline=None, max_examples=60)
 MAX_N = 2000
@@ -55,6 +55,22 @@ def _mean_abs_ulps(got: float, want: Fraction, scale: Fraction) -> float:
 
 def _checked_rows(x: np.ndarray) -> list[int]:
     return sorted({0, len(x) // 2, len(x) - 1})
+
+
+def _groups(b: int) -> list[tuple[tuple[int, ...], int]]:
+    """(block counts, index of b) of a group of one layout and of a group of
+    two, which the block kernels sum in one reduceat at these sizes."""
+    return [((b,), 0), ((b, 1 if b > 1 else 2), 0)]
+
+
+def _grouped_median_variances(x: np.ndarray, b: int) -> list[np.ndarray]:
+    """The median block variance of the b-block layout of x (n // b >= 2),
+    from a group of one layout and from a group of two."""
+    out = []
+    for group, i in _groups(b):
+        variances = _block_variances(x, _block_means(x, group))[i]
+        out.append(_select(variances, (b - 1) // 2))
+    return out
 
 
 def _summable(scale: Fraction, m: int) -> bool:
@@ -78,15 +94,18 @@ def test_block_means_within_bound(data):
     n, b = data.draw(layouts())
     assume(n <= MAX_N)
     x = data.draw(samples(n))
-    for i, err in _block_mean_errors(x, b, _block_means(x, b)):
-        assert err <= MEANS_ULPS, (i, err)
-    # The rows of a chunk, by the chunk's flat reduceat.
+    for group, j in _groups(b):
+        for i, err in _block_mean_errors(x, b, _block_means(x, group)[j]):
+            assert err <= MEANS_ULPS, (group, i, err)
+    # The rows of a chunk, by the chunk's flat reduceat: a harness-sized chunk
+    # is summed a layout at a time, its first three rows as one group.
     n, b = data.draw(row_layouts())
     chunk, _layout = data.draw(matrices(n))
-    rows = _block_means(chunk, b)
-    for t in _checked_rows(chunk):
-        for i, err in _block_mean_errors(chunk[t], b, rows[t]):
-            assert err <= MEANS_ULPS, (t, i, err)
+    for rows, (group, j) in ((chunk, _groups(b)[0]), (chunk[:3], _groups(b)[1])):
+        means = _block_means(rows, group)[j]
+        for t in _checked_rows(rows):
+            for i, err in _block_mean_errors(rows[t], b, means[t]):
+                assert err <= MEANS_ULPS, (group, t, i, err)
 
 
 def _variance_allowance(values, b: int) -> tuple[Fraction, Fraction] | None:
@@ -129,6 +148,8 @@ def test_median_variance_within_bound(data):
     if bound is None:
         return
     assert _within(mom_variance(x, b), *bound)
+    for got in _grouped_median_variances(x, b):
+        assert _within(got, *bound)
     # The earlier per-block loop meets the same bound, so the two agree to
     # within twice of it.
     assert _within(ref.mom_variance(x, b), *bound)
@@ -144,6 +165,12 @@ def test_median_variance_rows_within_bound(data):
         bound = _variance_allowance(x[t], b)
         if bound is not None:
             assert _within(got[t], *bound), t
+    # The first three rows, from a group of one layout and from a group of two.
+    for got in _grouped_median_variances(x[:3], b):
+        for t in _checked_rows(x[:3]):
+            bound = _variance_allowance(x[t], b)
+            if bound is not None:
+                assert _within(got[t], *bound), t
 
 
 @COMMON

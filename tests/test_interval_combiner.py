@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from test_batch import _Counting
 import subgauss._batch as batch_module
 import subgauss.interval_combiner as combiner_module
 from subgauss import (
@@ -236,35 +237,20 @@ class TestSharedCenters:
 
     @pytest.mark.parametrize("builder", ["fixed_sigma", "adaptive"])
     def test_one_center_per_distinct_block_count(self, monkeypatch, builder):
-        # One block-means pass per distinct block count of levels 1..9; the
-        # adaptive variances read the same passes.
-        blocks = []
-        real = batch_module.block_mean_rows
-
-        def counting(values, b):
-            blocks.append(b)
-            return real(values, b)
-
-        # The one-sample levels take their block means from _batch.
-        monkeypatch.setattr(batch_module, "block_mean_rows", counting)
+        # One block-means call for the distinct block counts of levels 1..9,
+        # in one reduceat; the adaptive variances read the same means.
+        counting = _Counting(monkeypatch)  # the one-sample levels are _batch's
         values = sample(parse_distribution("gaussian:0,1"), 256, 12).values
         multiple_delta_estimate(values, builder, sigma2_hi=1.0, delta_min=2.0**-10)
-        assert sorted(blocks) == [1, 2, 3, 4, 5, 6, 7]
+        assert counting.means == counting.groups["means"] == [[1, 2, 3, 4, 5, 6, 7]]
 
     def test_one_block_variance_per_distinct_variance_block_count(self, monkeypatch):
         # At m = 9 the variance block counts max(2, ceil(k ln 2)) are
-        # 2, 2, 3, 3, 4, 5, 5, 6, 7: six distinct counts, six passes.
-        blocks = []
-        real = batch_module._block_variances
-
-        def counting(values, means):
-            blocks.append(means.shape[-1])
-            return real(values, means)
-
-        monkeypatch.setattr(batch_module, "_block_variances", counting)
+        # 2, 2, 3, 3, 4, 5, 5, 6, 7: six distinct counts, in one reduceat.
+        counting = _Counting(monkeypatch)
         values = sample(parse_distribution("gaussian:0,1"), 256, 12).values
         multiple_delta_estimate(values, "adaptive", delta_min=2.0**-10)
-        assert sorted(blocks) == [2, 3, 4, 5, 6, 7]
+        assert counting.variances == counting.groups["variances"] == [[2, 3, 4, 5, 6, 7]]
 
 
 class TestQuantileKregFamily:

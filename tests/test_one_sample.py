@@ -15,13 +15,17 @@ import warnings
 from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
 from test_batch import FAMILIES, draw
-from subgauss import interval_combiner, kurtosis_pipeline
+from subgauss import Sample, _batch, interval_combiner, kurtosis_pipeline, seeding
 from subgauss.core_estimators import (
+    _block_means,
+    _block_plan,
+    _block_variances,
     median_of_means,
     median_of_means_raw,
     mom_variance,
@@ -233,9 +237,9 @@ OVERFLOW_CASES = [
     ("signed", median_of_means_raw, (2,), "0x0.0p+0", []),
     ("signed", mom_variance, (2,), "inf", ["multiply"]),
     ("signed", quantile_interval_raw, (2,), ["0x0.0p+0", "0x0.0p+0"], []),
-    ("max", combined_fixed, (), "inf", ["reduceat", "reduceat"]),
-    ("max", combined_adaptive, (), ("error", ADAPTIVE_OVERFLOW.format("inf")),
-     ["reduceat", "reduceat"]),
+    # Both levels' block means (b = 1 and 2) are one reduceat: one overflow warning.
+    ("max", combined_fixed, (), "inf", ["reduceat"]),
+    ("max", combined_adaptive, (), ("error", ADAPTIVE_OVERFLOW.format("inf")), ["reduceat"]),
     ("max", kurtosis, (), "nan", [*KURTOSIS_PRECONDITIONS, "reduceat"]),
     ("signed", combined_fixed, (), "0x0.0p+0", []),
     ("signed", combined_adaptive, (), ("error", ADAPTIVE_OVERFLOW.format("0.0")), ["multiply"]),
@@ -261,3 +265,82 @@ def test_overflow_warnings_are_pinned():
         assert [(w.category, str(w.message)) for w in caught] == [
             (RuntimeWarning, u if " " in u else f"overflow encountered in {u}") for u in ufuncs
         ], (name, fn.__name__)
+
+
+@st.composite
+def kernel_inputs(draw_, n: int):
+    """A sample (n,) or a chunk of 1 or 3 rows small enough for the block
+    kernels to sum several layouts in one group: family values scaled by
+    1e-150..1e150, blocks of +0.0 and -0.0, a constant, or values near
+    1e300 whose sums overflow; contiguous, strided, read-only, a Sample's
+    values, or a chunk in C or Fortran order or a column slice."""
+    rows = draw_(st.sampled_from([None, 1, 3]))
+    size = n * (rows or 1)
+    rng = np.random.default_rng(draw_(st.integers(0, 2**32 - 1)))
+    kind = draw_(st.sampled_from(["family", "zeros", "constant", "huge"]))
+    if kind == "zeros":
+        p = draw_(st.sampled_from([0.0, 0.5, 0.95, 1.0]))
+        x = np.where(rng.random(size) < p, -0.0, 0.0)
+    elif kind == "constant":
+        x = np.full(size, draw_(st.floats(-1e300, 1e300)))
+    else:
+        x = draw(draw_(st.sampled_from(FAMILIES)), size, rng)
+        if kind == "huge":
+            x = np.clip(x * 10.0 ** draw_(st.integers(296, 300)), -1.7e308, 1.7e308)
+        else:
+            shift = draw_(st.sampled_from([0.0, 1.0, 1e6]))
+            x = (x + shift) * 10.0 ** draw_(st.integers(-150, 150))
+    if rows is None:
+        form = draw_(st.sampled_from(["contiguous", "strided", "read-only", "Sample"]))
+        if form == "strided":
+            wide = np.zeros(2 * n)
+            wide[::2] = x
+            x = wide[::2]
+        elif form == "Sample":
+            return Sample(x).values
+    else:
+        form = draw_(st.sampled_from(["C", "F", "columns", "read-only"]))
+        x = x.reshape(rows, n)
+        if form == "F":
+            x = np.asfortranarray(x)
+        elif form == "columns":
+            wide = np.zeros((rows, n + 3))
+            wide[:, 1 : n + 1] = x
+            x = wide[:, 1 : n + 1]
+    if form == "read-only":
+        x.flags.writeable = False
+    return x
+
+
+def _raw(a) -> list[int]:
+    """The bit patterns of an array or scalar: -0.0 differs from 0.0, and a
+    NaN equals only a NaN of the same bits."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), m=st.integers(1, 12))
+def test_grouped_kernels_match_per_layout_passes(data, m):
+    # Every layout of an estimate is summed in one group: its block means,
+    # block variances and levels keep the bits of one pass a layout.
+    _, v_of, _, vs, both = _batch._level_blocks(m)
+    floor = 2 * v_of[-1]  # 2 points a block at the deepest variance level
+    step = math.lcm(*both)
+    n = data.draw(st.one_of(
+        st.just(floor),
+        st.integers(floor, 9000),
+        st.integers(-(-floor // step), 9000 // step).map(lambda j: j * step),  # b divides n
+    ))
+    x = data.draw(kernel_inputs(n))
+    for bs, centred in ((both, False), (vs, True)):
+        assert len(_block_plan(x.shape, bs, centred, seeding._CHUNK_TARGET)) == 1  # one group
+    means = dict(zip(both, _block_means(x, both)))
+    for b in both:
+        assert _raw(means[b]) == _raw(ref.block_means(x, b)), b
+    for b, got in zip(vs, _block_variances(x, [means[b] for b in vs])):
+        assert _raw(got) == _raw(ref.block_variances(x, b)), b
+    widths = [1.5] * m
+    for got, want in ((_batch._levels(x, m, widths), ref.levels(x, m, widths)),
+                      (_batch._adaptive_levels(x, m), ref.levels(x, m))):
+        assert [(_raw(c), _raw(r)) for c, r in got] == [(_raw(c), _raw(r)) for c, r in want]
