@@ -43,6 +43,14 @@ def _floor_tol(x: float, tol: float = 1e-9) -> int:
     return -_ceil_tol(-x, tol)
 
 
+def _as_int(name: str, value) -> int:
+    """value as an int: an int, numpy integer or integral float; else ValueError naming it."""
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _rank(alpha: float, m: int) -> int:
     """1-based rank ceil(alpha*m) of the alpha-quantile of m values, in [1, m]."""
     return min(max(_ceil_tol(alpha * m), 1), m)
@@ -117,6 +125,7 @@ def partition_blocks(n: int, b: int) -> BlockPartition:
     The first (n mod b) blocks get the extra element, so sizes differ by at
     most one and every block has at least floor(n/b) elements.
     """
+    b = _as_int("b", b)
     if b < 1 or b > n:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
     starts, sizes = _block_layout(n, b)
@@ -152,14 +161,15 @@ def _select(a: np.ndarray, r: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _block_plan(shape: tuple[int, ...], bs: tuple[int, ...], centred: bool, target: int) -> tuple:
-    """(offsets, divisors, parts, chunk, out, scratch) of each group's flat
+    """(offsets, divisors, parts, chunk, out, sizes) of each group's flat
     np.add.reduceat, a group being as many layouts of bs as fit target values
     stacked, over values of shape (*lead, n).  offsets are one row's: block
     means sum the values, each layout from 0, and in groups of two or more a
     separator at n (the next row's first value, or a pad after the last row)
     ends each layout's last block; variances sum a scratch (*lead, G, n),
     layout g from g * n.  chunk = (rows * stride, stride) repeats them a row.
-    parts: each layout's slice of a row's sums and _group_variances's views."""
+    parts: each layout's slice of a row's sums; sizes: one row's block sizes
+    (the divisors, less one if centred), by which a group's means repeat."""
     *lead, n = shape
     rows = math.prod(lead)
     step = max(1, target // (rows * n))
@@ -167,22 +177,22 @@ def _block_plan(shape: tuple[int, ...], bs: tuple[int, ...], centred: bool, targ
     for i in range(0, len(bs), step):
         group = bs[i : i + step]
         separated = not centred and len(group) > 1
-        offsets, divisors, parts, at = [], [], [], 0
+        offsets, sizes, parts, at = [], [], [], 0
         for g, b in enumerate(group):
-            starts, sizes = _block_layout(n, b)
+            starts, size = _block_layout(n, b)
             offsets.append(starts + g * n if centred else starts)
-            divisors.append(sizes - 1 if centred else sizes)
-            q, r = divmod(n, b)
-            parts.append(((at, at + b), (r, r * (q + 1), (-1, r, q + 1), (-1, b - r, q))))
+            sizes.append(size)
+            parts.append((at, at + b))
             at += b + separated
             if separated:
                 offsets.append([n])
-                divisors.append([1])
-        offsets, divisors = np.concatenate(offsets), np.concatenate(divisors).astype(np.float64)
-        offsets.flags.writeable = divisors.flags.writeable = False
+                sizes.append([1])
+        offsets, sizes = np.concatenate(offsets), np.concatenate(sizes)
+        divisors = (sizes - 1 if centred else sizes).astype(np.float64)
+        offsets.flags.writeable = divisors.flags.writeable = sizes.flags.writeable = False
         stride = len(group) * n if centred else n
         chunk = (rows * stride, stride) if rows > 1 else None
-        plan.append((offsets, divisors, tuple(parts), chunk, (*lead, -1), (*lead, len(group), n)))
+        plan.append((offsets, divisors, tuple(parts), chunk, (*lead, -1), sizes))
     return tuple(plan)
 
 
@@ -193,7 +203,7 @@ def _sum_blocks(flat: np.ndarray, group: tuple) -> list[np.ndarray]:
     offsets = (np.arange(0, *chunk)[:, None] + offsets).ravel() if chunk else offsets
     sums = np.add.reduceat(flat, offsets).reshape(out)
     sums /= divisors
-    return [sums] if len(parts) == 1 else [sums[..., lo:hi] for (lo, hi), _ in parts]
+    return [sums] if len(parts) == 1 else [sums[..., lo:hi] for lo, hi in parts]
 
 
 def _block_means(values: np.ndarray, bs: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -213,18 +223,13 @@ def _mom(values: np.ndarray, b: int) -> np.ndarray:
 
 
 def _group_variances(values: np.ndarray, means, group: tuple) -> list[np.ndarray]:
-    """Block variances of a group's layouts, centred into one scratch, squared
-    and summed once.  The first n mod b blocks have q+1 values and the rest q,
-    so two reshaped views broadcast a layout's means without a gather."""
-    _, _, parts, _, _, scratch = group
-    buf = np.empty(scratch)
-    for g, (mu, (_, (r, split, head, tail))) in enumerate(zip(means, parts)):
-        out = buf[..., g, :]
-        if r:
-            np.subtract(values[..., :split].reshape(head), mu[..., :r, None],
-                        out=out[..., :split].reshape(head))
-        np.subtract(values[..., split:].reshape(tail), mu[..., r:, None],
-                    out=out[..., split:].reshape(tail))
+    """Block variances of a group's G layouts: their means, repeated by block size,
+    are the scratch (*lead, G, n), into which one subtract centres the values,
+    broadcast over the layouts; it is squared and summed once."""
+    _, _, parts, _, _, sizes = group
+    buf = np.repeat(np.concatenate(means[: len(parts)], axis=-1), sizes, axis=-1)
+    buf = buf.reshape(*values.shape[:-1], len(parts), -1)
+    np.subtract(values[..., None, :], buf, out=buf)
     np.multiply(buf, buf, out=buf)
     return _sum_blocks(buf.ravel(), group)
 
@@ -253,6 +258,7 @@ def median_of_means_raw(sample, b: int) -> float:
     L0^(-b); this is the primitive behind every delta-calibrated wrapper.
     """
     values = as_values(sample)
+    b = _as_int("b", b)
     if b < 1 or b > values.size:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={values.size}")
     return float(_mom(values, b))
@@ -332,7 +338,7 @@ def mom_variance(sample, b: int) -> float:
     one-row chunk agree bit for bit.
     """
     values = as_values(sample)
-    n = values.size
+    n, b = values.size, _as_int("b", b)
     if b < 1 or n // b < 2:
         raise ValueError(f"every block needs at least 2 points (n={n}, b={b})")
     return float(_mom_variance(values, b))
@@ -349,19 +355,22 @@ def _quartiles(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
 def quantile_interval_raw(sample, b: int) -> ConfidenceInterval:
     """[1/4-quantile, 3/4-quantile] of the b block means."""
     values = as_values(sample)
+    b = _as_int("b", b)
     if b < 1 or b > values.size:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={values.size}")
     return ConfidenceInterval(*_quartiles(values, b))
 
 
-def _kreg_check(n: int, k: int) -> None:
-    """The delta-free preconditions of quantile_interval; ValueError if unmet."""
+def _kreg_check(n: int, k: int) -> int:
+    """The delta-free preconditions of quantile_interval: k as an int, ValueError if unmet."""
+    k = _as_int("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < _REG_MIN_FACTOR * k * (1.0 - _REL_SLACK):
         raise ValueError(
             f"need n >= {_REG_MIN_FACTOR * k:.1f} for regularity index k={k}, got n={n}"
         )
+    return k
 
 
 def _kreg_blocks(n: int, delta: float, k: int) -> int:
@@ -383,5 +392,5 @@ def quantile_interval(sample, delta: float, k: int) -> ConfidenceInterval:
     range b*k <= n/2 so each block keeps at least 2k points.
     """
     values = as_values(sample)
-    _kreg_check(values.size, k)
+    k = _kreg_check(values.size, k)
     return ConfidenceInterval(*_quartiles(values, _kreg_blocks(values.size, delta, k)))

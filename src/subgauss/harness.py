@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _batch
 from ._version import __version__
-from .core_estimators import _LN2, _MOM_WIDTH, _REL_SLACK, _kreg_blocks, _kreg_check
+from .core_estimators import _LN2, _MOM_WIDTH, _REL_SLACK, _as_int, _kreg_blocks, _kreg_check
 from .core_estimators import _mom_blocks, _order_stat
 from .distributions import DistributionSpec, _draw_rows, format_distribution
 from .interval_combiner import _check_sigma2_hi, _family_depth
@@ -233,7 +233,7 @@ def _resolve_params(estimator: str, dist: DistributionSpec, raw: dict) -> dict:
         value = raw.get(key, default(dist) if callable(default) else default)
         if value is None:
             raise ValueError(f"{estimator} requires params[{key!r}]")
-        out[key] = int(value) if isinstance(default, int) else float(value)
+        out[key] = _as_int(key, value) if isinstance(default, int) else float(value)
     if "l_target" in raw:
         l_target = float(raw["l_target"])
         if not l_target > 0.0:
@@ -255,8 +255,8 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
     start = time.perf_counter()
     dist = config.dist
     estimator = config.estimator
-    n = int(config.n)
-    trials = int(config.trials)
+    n = _as_int("n", config.n)
+    trials = _as_int("trials", config.trials)
     if n < 1:
         raise ValueError("n must be >= 1")
     if trials < 1:

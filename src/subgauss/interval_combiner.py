@@ -153,7 +153,7 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
 def _kreg_bounds(values, k_reg: int, delta_min: float | None):
     """Level bounds of quantile_kreg_family on a validated sample."""
     n = values.size
-    _kreg_check(n, k_reg)
+    k_reg = _kreg_check(n, k_reg)
     if delta_min is None:
         # The default's depth, in log space: the default underflows to 0.0
         # from n of about 92,800 k_reg.  No level goes below 2^-1074, the

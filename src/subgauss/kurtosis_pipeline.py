@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batch import _clipped_mean, _pipeline
-from .core_estimators import _MOM_WIDTH
+from .core_estimators import _MOM_WIDTH, _as_int
 # median_of_means_raw and mom_variance are not called here, but
 # perfbench/spans.py wraps the core estimators under these names in this module.
 from .core_estimators import median_of_means_raw, mom_variance  # noqa: F401
@@ -37,6 +37,7 @@ class KurtosisConfig:
     kappa_bound: float
 
     def __post_init__(self):
+        object.__setattr__(self, "b_max", _as_int("b_max", self.b_max))
         if self.b_max < 1:
             raise ValueError("b_max must be >= 1")
         if not (math.isfinite(self.kappa_bound) and self.kappa_bound >= 1.0):
@@ -101,6 +102,7 @@ def delta_floor(b_max: int) -> float:
 
 def _check(n: int, b_max: int) -> None:
     """The pipeline's preconditions on (n, b_max); ValueError if unmet."""
+    b_max = _as_int("b_max", b_max)
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
     if n < 4:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,36 @@ from subgauss import (
     sample,
 )
 from subgauss.core_estimators import _block_layout
+
+
+X4000 = sample(parse_distribution("gaussian:0,1"), 4000, 31).values
+# Each entry point of a block count or regularity index, with its name.
+COUNT_CALLS = {
+    "median_of_means_raw": ("b", lambda c: median_of_means_raw(X4000, c)),
+    "mom_variance": ("b", lambda c: mom_variance(X4000, c)),
+    "quantile_interval_raw": ("b", lambda c: quantile_interval_raw(X4000, c)),
+    "partition_blocks": ("b", lambda c: partition_blocks(X4000.size, c)),
+    "quantile_interval": ("k", lambda c: quantile_interval(X4000, 0.05, c)),
+}
+
+
+class TestIntegerCounts:
+    """An int, a numpy integer or a float of integral value is its int; any
+    other count is a ValueError that names the parameter."""
+
+    @pytest.mark.parametrize("bad", [2.5, 1.5, math.nan, math.inf, "3", None], ids=repr)
+    @pytest.mark.parametrize("call", COUNT_CALLS)
+    def test_rejects_non_integers(self, call, bad):
+        name, fn = COUNT_CALLS[call]
+        message = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            fn(bad)
+
+    @pytest.mark.parametrize("three", [3.0, np.float64(3), np.int64(3)], ids=repr)
+    @pytest.mark.parametrize("call", COUNT_CALLS)
+    def test_integral_values_give_the_bits_of_three(self, call, three):
+        fn = COUNT_CALLS[call][1]
+        assert repr(fn(three)) == repr(fn(3))  # float repr round-trips every bit
 
 
 class TestPartitionBlocks:

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -483,6 +485,31 @@ class TestConfigValidation:
         )
         with pytest.raises(ValueError):
             run_tail_experiment(bad)
+
+    @pytest.mark.parametrize(
+        "estimator,name,value",
+        [("kurtosis", "b_max", 2.5), ("quantile_kreg", "k_reg", 1.5), ("empirical", "n", 256.9),
+         ("empirical", "trials", 20.7)],
+    )
+    def test_counts_must_be_integers(self, estimator, name, value):
+        cfg = ExperimentConfig(GAUSS, estimator, 256, 20, (0.1,), seed=1)
+        if name in ("n", "trials"):
+            cfg = dataclasses.replace(cfg, **{name: value})
+        else:
+            cfg = dataclasses.replace(cfg, params={name: value})
+        message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            run_tail_experiment(cfg)
+
+    @pytest.mark.parametrize("three", [3.0, np.float64(3), np.int64(3)], ids=repr)
+    def test_integral_counts_are_ints(self, three):
+        def report(**counts):
+            cfg = ExperimentConfig(GAUSS, "kurtosis", 256, 20, (0.1,), seed=1)
+            out = run_tail_experiment(dataclasses.replace(cfg, **counts))
+            return out.rows, json.dumps(out.metadata)
+
+        assert report(params={"b_max": three}) == report(params={"b_max": 3})
+        assert report(n=256 * three // 3, trials=20 * three // 3) == report()
 
     def test_mom_needs_four_points(self):
         with pytest.raises(ValueError):

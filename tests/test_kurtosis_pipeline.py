@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from subgauss import (
     truncated_mean,
     xi_terms,
 )
+from subgauss.kurtosis_pipeline import _check
 
 
 class TestPsi:
@@ -150,6 +152,20 @@ class TestKurtosisConfig:
             KurtosisConfig(b_max=2, kappa_bound=math.inf)
         with pytest.raises(ValueError):
             KurtosisConfig(b_max=2, kappa_bound=math.nan)
+
+    def test_b_max_is_an_integer(self):
+        x = sample(parse_distribution("gaussian:0,1"), 256, 5).values
+        for bad in (2.5, math.nan, "3"):
+            message = f"^b_max must be an integer, got {re.escape(repr(bad))}$"
+            with pytest.raises(ValueError, match=message):
+                KurtosisConfig(b_max=bad, kappa_bound=9.0)
+            with pytest.raises(ValueError, match=message):
+                _check(256, bad)
+        want = kurtosis_estimate(x, KurtosisConfig(3, 9.0)).hex()
+        for three in (3.0, np.float64(3), np.int64(3)):
+            config = KurtosisConfig(b_max=three, kappa_bound=9.0)
+            assert type(config.b_max) is int and config == KurtosisConfig(3, 9.0)
+            assert kurtosis_estimate(x, config).hex() == want
 
 
 class TestKurtosisEstimate:

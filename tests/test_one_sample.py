@@ -344,3 +344,40 @@ def test_grouped_kernels_match_per_layout_passes(data, m):
     for got, want in ((_batch._levels(x, m, widths), ref.levels(x, m, widths)),
                       (_batch._adaptive_levels(x, m), ref.levels(x, m))):
         assert [(_raw(c), _raw(r)) for c, r in got] == [(_raw(c), _raw(r)) for c, r in want]
+
+
+def _split_inputs(n: int) -> np.ndarray:
+    """Four rows of n values: values off zero, blocks of -0.0 (the first half)
+    and of +0.0 and -0.0, values whose squares and sums overflow, and a tiny
+    constant."""
+    rng = np.random.default_rng(n)
+    return np.stack([
+        (rng.standard_normal(n) + 1e6) * 1e3,
+        np.where((np.arange(n) < n // 2) | (rng.random(n) < 0.5), -0.0, 0.0),
+        np.where(rng.random(n) < 0.3, -1.0, 1.0) * rng.uniform(1e307, 1.7e308, n),
+        np.full(n, 5e-324),
+    ])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [14, 15, 1031])  # b = 7 has q = 2 at n = 14; 1031 is prime
+@pytest.mark.parametrize("per_group", [1, 2, 4])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_split_groups_match_per_layout_passes(monkeypatch, n, per_group, order):
+    # A chunk target that fits per_group layouts splits an estimate's layouts
+    # into groups of one, as in a full harness chunk, or of two or more: the
+    # block variances and adaptive levels keep the bits of one pass a layout.
+    m = 9
+    _, _, _, vs, both = _batch._level_blocks(m)
+    chunk = np.asarray(_split_inputs(n), order=order)
+    for x in (chunk, chunk[0], chunk[1], chunk[2]):
+        monkeypatch.setattr(seeding, "_CHUNK_TARGET", per_group * x.size)
+        for bs, centred in ((both, False), (vs, True)):
+            groups = _block_plan(x.shape, bs, centred, seeding._CHUNK_TARGET)
+            sizes = [len(bs[i : i + per_group]) for i in range(0, len(bs), per_group)]
+            assert [len(group[2]) for group in groups] == sizes
+        means = dict(zip(both, _block_means(x, both)))
+        for b, got in zip(vs, _block_variances(x, [means[b] for b in vs])):
+            assert _raw(got) == _raw(ref.block_variances(x, b)), b
+        got, want = _batch._adaptive_levels(x, m), ref.levels(x, m)
+        assert [(_raw(c), _raw(r)) for c, r in got] == [(_raw(c), _raw(r)) for c, r in want]
