@@ -6,7 +6,9 @@ once.  The block means, median of means, quartiles and block variances are
 the one-sample kernels of core_estimators, and the combined levels and the
 truncated-mean pipeline are written here once, over the last axis, for one
 sample (n,) and a chunk alike.  So every kernel gives each row the bits of
-the one-sample call on it.
+the one-sample call on it.  combine_rows is the combined estimators' one
+suffix walk, over the level bounds of one family (m,) or a chunk (T, m):
+interval_combiner's combine and multiple_delta_estimate call it too.
 
 The variance and truncation kernels write every elementwise intermediate
 into scratch allocated per call, so concurrent calls on threads share
@@ -28,7 +30,7 @@ try:  # the ufunc behind np.clip, called without np.clip's Python wrappers
 except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
-from .core_estimators import _LN2, _MOM_WIDTH, _ceil_tol, _level_radius, _mom_count, _select
+from .core_estimators import _LN2, _MOM_WIDTH, _ceil_tol, _mom_count, _select
 from .core_estimators import _block_means as block_mean_rows, _block_variances, _quartiles
 # mom_rows and mom_variance_rows are kernels by name, for the harness and perfbench's spans.
 from .core_estimators import _mom as mom_rows, _mom_variance as mom_variance_rows  # noqa: F401
@@ -65,21 +67,25 @@ def truncated_pipeline_rows(chunk: np.ndarray, b_max: int) -> np.ndarray:
     return _pipeline(chunk, b_max)[3]
 
 
-def combine_rows(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix-intersection midpoints per row.
-
-    Column k-1 of los/his holds interval k of the family.  Walks suffixes
-    from k = m down, keeps the deepest nonempty intersection, and returns
-    (estimate, k_hat) per row, matching the scalar combine().
-    """
-    m = los.shape[1]
-    rlo = np.maximum.accumulate(los[:, ::-1], axis=1)
-    rhi = np.minimum.accumulate(his[:, ::-1], axis=1)
-    ok = np.logical_and.accumulate(rlo <= rhi, axis=1)
-    j = ok.sum(axis=1) - 1  # >= 0: the single deepest interval is nonempty
-    rows = np.arange(los.shape[0])
-    est = 0.5 * (rlo[rows, j] + rhi[rows, j])
-    return est, m - j
+def combine_rows(los: np.ndarray, his: np.ndarray) -> tuple:
+    """(k_hat, lo, hi) of the levels [los[..., k-1], his[..., k-1]], k = 1..m, of
+    one family (m,) or of each row of a chunk's (T, m): the minimal k whose
+    suffix intersection of levels k..m is nonempty (touching endpoints meet in
+    a point), and that intersection, walked from level m down, so of equal
+    endpoints (0.0 and -0.0) the deeper level's is kept."""
+    rev_lo, rev_hi = los[..., ::-1], his[..., ::-1]
+    rlo = np.maximum.accumulate(rev_lo, axis=-1)
+    rhi = np.minimum.accumulate(rev_hi, axis=-1)
+    # Suffix j + 1 lies within suffix j, so the nonempty ones come first.
+    j = (rlo <= rhi).sum(axis=-1) - 1
+    rows = (np.arange(j.size),) if j.ndim else ()
+    lo, hi = rlo[(*rows, j)], rhi[(*rows, j)]
+    # numpy's max and min keep the later of two equal values, so each bound is read
+    # at the first level that reaches it; on one family only a zero can differ.
+    if j.ndim or not (lo and hi):
+        lo = rev_lo[(*rows, (rlo == lo[..., None]).argmax(axis=-1))]
+        hi = rev_hi[(*rows, (rhi == hi[..., None]).argmax(axis=-1))]
+    return los.shape[-1] - j, lo, hi
 
 
 @functools.lru_cache(maxsize=64)
@@ -91,19 +97,27 @@ def _level_blocks(m: int) -> tuple[tuple[int, ...], ...]:
     return b_of, v_of, *(tuple(sorted(set(c))) for c in (b_of, v_of, b_of + v_of))
 
 
-def _levels(x: np.ndarray, m: int, widths, means: dict | None = None) -> list[tuple]:
-    """(centre, radius) of levels k = 1..m of one sample (n,) or a chunk
-    (T, n): the median-of-means at delta = 2^(-k), and the k-th width times
-    sqrt((1 + k ln 2)/n).  The centres partition the block means that means
-    holds at each centre block count, or that are computed here."""
+@functools.lru_cache(maxsize=64)
+def _level_radii(m: int, n: int) -> np.ndarray:
+    """sqrt((1 + k ln 2)/n) of levels k = 1..m: radii per unit width, cached, so read-only."""
+    radii = np.sqrt((1.0 + np.arange(1, m + 1) * _LN2) / n)
+    radii.flags.writeable = False
+    return radii
+
+
+def _levels(x: np.ndarray, m: int, widths, means: dict | None = None) -> tuple:
+    """Centres and radii (..., m) of levels k = 1..m of one sample (n,) or a
+    chunk (T, n): the median-of-means at delta = 2^(-k), and the widths
+    (one, or one a level) times sqrt((1 + k ln 2)/n).  The centres partition
+    the block means that means holds at each centre block count, or that are
+    computed here."""
     b_of, _, bs, _, _ = _level_blocks(m)
     means = means or dict(zip(bs, block_mean_rows(x, bs)))
     mom_of = {b: _select(means[b], (b - 1) // 2) for b in bs}
-    n = x.shape[-1]
-    return [(mom_of[b], w * _level_radius(k, n)) for k, (b, w) in enumerate(zip(b_of, widths), 1)]
+    return np.array([mom_of[b] for b in b_of]).T, widths * _level_radii(m, x.shape[-1])
 
 
-def _adaptive_levels(x: np.ndarray, m: int) -> list[tuple]:
+def _adaptive_levels(x: np.ndarray, m: int) -> tuple:
     """Levels whose radii come from per-level block-variance estimates."""
     _, v_of, _, vs, both = _level_blocks(m)
     # One group of block means (k = 1..9 use 7 counts) serves the centres and the
@@ -111,21 +125,18 @@ def _adaptive_levels(x: np.ndarray, m: int) -> list[tuple]:
     means = dict(zip(both, block_mean_rows(x, both)))
     width_of = {b: 2.0 * _MOM_WIDTH * np.sqrt(_select(v, (b - 1) // 2))
                 for b, v in zip(vs, _block_variances(x, [means[b] for b in vs]))}
-    return _levels(x, m, [width_of[b] for b in v_of], means)
-
-
-def _combined_rows(levels) -> np.ndarray:
-    """Combined estimate per row of the levels centre -/+ radius."""
-    los = np.column_stack([c - r for c, r in levels])
-    his = np.column_stack([c + r for c, r in levels])
-    return combine_rows(los, his)[0]
+    return _levels(x, m, np.array([width_of[b] for b in v_of]).T, means)
 
 
 def combined_fixed_rows(chunk: np.ndarray, m: int, sigma2_hi: float) -> np.ndarray:
     """Combined estimate per row, radii from a known variance bound."""
-    return _combined_rows(_levels(chunk, m, [_MOM_WIDTH * math.sqrt(sigma2_hi)] * m))
+    c, r = _levels(chunk, m, _MOM_WIDTH * math.sqrt(sigma2_hi))
+    _, lo, hi = combine_rows(c - r, c + r)
+    return 0.5 * (lo + hi)
 
 
 def combined_adaptive_rows(chunk: np.ndarray, m: int) -> np.ndarray:
     """Combined estimate per row, radii from per-level variance estimates."""
-    return _combined_rows(_adaptive_levels(chunk, m))
+    c, r = _adaptive_levels(chunk, m)
+    _, lo, hi = combine_rows(c - r, c + r)
+    return 0.5 * (lo + hi)

@@ -119,15 +119,21 @@ class ConfidenceInterval:
         return self.lo <= x <= self.hi
 
 
+def _block_count(n: int, b: int) -> tuple[int, int]:
+    """(n, b) as ints, or ValueError unless 1 <= b <= n: the rule on an explicit block count."""
+    b, n = _as_int("b", b), _as_int("n", n)
+    if b < 1 or b > n:
+        raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
+    return n, b
+
+
 def partition_blocks(n: int, b: int) -> BlockPartition:
     """Split {0, ..., n-1} into b contiguous blocks.
 
     The first (n mod b) blocks get the extra element, so sizes differ by at
     most one and every block has at least floor(n/b) elements.
     """
-    b = _as_int("b", b)
-    if b < 1 or b > n:
-        raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
+    n, b = _block_count(n, b)
     starts, sizes = _block_layout(n, b)
     blocks = tuple(range(s, s + m) for s, m in zip(starts.tolist(), sizes.tolist()))
     return BlockPartition(n=n, b=b, blocks=blocks)
@@ -258,15 +264,8 @@ def median_of_means_raw(sample, b: int) -> float:
     L0^(-b); this is the primitive behind every delta-calibrated wrapper.
     """
     values = as_values(sample)
-    b = _as_int("b", b)
-    if b < 1 or b > values.size:
-        raise ValueError(f"need 1 <= b <= n, got b={b}, n={values.size}")
+    _, b = _block_count(values.size, b)
     return float(_mom(values, b))
-
-
-def _level_radius(k: int, n: int) -> float:
-    """sqrt((1 + k ln 2)/n): the deviation scale at confidence 2^(-k)."""
-    return math.sqrt((1.0 + k * _LN2) / n)
 
 
 def _check_range(name: str, value: float, log_floor: float) -> None:
@@ -355,9 +354,7 @@ def _quartiles(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
 def quantile_interval_raw(sample, b: int) -> ConfidenceInterval:
     """[1/4-quantile, 3/4-quantile] of the b block means."""
     values = as_values(sample)
-    b = _as_int("b", b)
-    if b < 1 or b > values.size:
-        raise ValueError(f"need 1 <= b <= n, got b={b}, n={values.size}")
+    _, b = _block_count(values.size, b)
     return ConfidenceInterval(*_quartiles(values, b))
 
 

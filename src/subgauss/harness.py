@@ -255,16 +255,11 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
     start = time.perf_counter()
     dist = config.dist
     estimator = config.estimator
-    n = _as_int("n", config.n)
-    trials = _as_int("trials", config.trials)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if config.threads < 1:
-        raise ValueError("threads must be >= 1")
-    if config.error_cap < 1:
-        raise ValueError("error_cap must be >= 1")
+    n, trials, seed, threads, error_cap = (_as_int(name, getattr(config, name)) for name in
+                                           ("n", "trials", "seed", "threads", "error_cap"))
+    for name, count in dict(n=n, trials=trials, threads=threads, error_cap=error_cap).items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
     deltas = config.deltas
     _validate_deltas(deltas)
     p = _resolve_params(estimator, dist, config.params)
@@ -291,7 +286,7 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
     # chunk; the quantiles come from the kept trials, every trial unless
     # trials > error_cap, when a stratified subsample is kept.
     ddep = blocks is not None
-    kept = min(trials, config.error_cap)
+    kept = min(trials, error_cap)
     keep = (np.arange(kept, dtype=np.int64) * trials) // kept
     store = np.full((kept, nd if ddep else 1), np.nan)
     bounds = chunk_bounds(trials, n)
@@ -303,7 +298,7 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
         t0, t1 = bounds[ci]
         c = t1 - t0
         mat = np.empty((c, n), dtype=np.float64)
-        _draw_rows(dist, mat, trial_rngs(config.seed, t0, t1))
+        _draw_rows(dist, mat, trial_rngs(seed, t0, t1))
         if ddep:
             out = np.full((c, nd), np.nan)
             for j, b in valid.items():
@@ -316,11 +311,11 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
         store[lo:hi] = out[keep[lo:hi] - t0]
 
     if nd > 0:
-        if config.threads == 1 or len(bounds) == 1:
+        if threads == 1 or len(bounds) == 1:
             for ci in range(len(bounds)):
                 run_chunk(ci)
         else:
-            with ThreadPoolExecutor(max_workers=config.threads) as ex:
+            with ThreadPoolExecutor(max_workers=threads) as ex:
                 # consume to propagate exceptions
                 list(ex.map(run_chunk, range(len(bounds))))
 
@@ -361,13 +356,13 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
         "params": p,
         "n": n,
         "trials": trials,
-        "seed": int(config.seed),
+        "seed": seed,
         "deltas": [float(d) for d in deltas],
-        "error_cap": int(config.error_cap),
+        "error_cap": error_cap,
         "l_target": l_target,
         "mu": mu,
         "sigma": sigma,
-        "threads": int(config.threads),
+        "threads": threads,
     }
     return TailReport(
         rows=tuple(rows), metadata=metadata, wall_time_s=time.perf_counter() - start

@@ -5,13 +5,16 @@ The device: build intervals I_1, ..., I_m where I_k targets confidence
 2^(-k), find the smallest k whose suffix intersection I_k cap ... cap I_m is
 nonempty, and return the midpoint of that intersection.  The result inherits
 every level's guarantee at once, at the price of a sqrt(1 + 2 ln 2) factor
-on the constant.
+on the constant.  The levels are arrays from _batch's kernels, checked here
+and combined by _batch.combine_rows, the walk of the harness's chunk kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import _batch
 from .core_estimators import _LN2, _MOM_WIDTH, _REG_RATE, ConfidenceInterval
@@ -53,30 +56,19 @@ class CombineResult:
     final_interval: ConfidenceInterval
 
 
-def _combine(los, his) -> tuple[int, float, float]:
-    """(k_hat, lo, hi) of the levels [los[k-1], his[k-1]], k = 1..m: the
-    minimal k whose suffix intersection is nonempty, and that intersection."""
-    k_hat, lo, hi = len(los), -math.inf, math.inf
-    for k in range(len(los), 0, -1):
-        lo2, hi2 = max(lo, los[k - 1]), min(hi, his[k - 1])
-        if lo2 > hi2:
-            break
-        k_hat, lo, hi = k, lo2, hi2
-    return k_hat, lo, hi
-
-
 def combine(family: IntervalFamily) -> CombineResult:
     """Midpoint of the deepest-suffix intersection.
 
     k_hat is the minimal k such that the intersection of intervals k..m is
     nonempty (k = m always qualifies, so this never fails); the estimate is
     the midpoint of that intersection.  Touching endpoints count as a
-    nonempty (single point) intersection.
+    nonempty (single point) intersection.  The walk is _batch.combine_rows.
     """
     ivs = family.intervals
-    k_hat, lo, hi = _combine([iv.lo for iv in ivs], [iv.hi for iv in ivs])
+    los, his = np.array([iv.lo for iv in ivs]), np.array([iv.hi for iv in ivs])
+    k_hat, lo, hi = _batch.combine_rows(los, his)
     final = ConfidenceInterval(lo, hi)
-    return CombineResult(k_hat=k_hat, estimate=final.midpoint, final_interval=final)
+    return CombineResult(k_hat=int(k_hat), estimate=final.midpoint, final_interval=final)
 
 
 def _family_depth(delta_min: float, n: int) -> int:
@@ -96,20 +88,23 @@ def _check_sigma2_hi(sigma2_hi: float) -> None:
         raise ValueError("sigma2_hi must be finite and > 0")
 
 
-def _centered_levels(levels, finite: bool = False):
-    """Level bounds c -/+ r of _batch._levels as Python floats (numpy scalars warn
-    on overflow), each checked like a ConfidenceInterval; finite adds adaptive's check."""
-    los, his = [], []
-    for k, (c, r) in enumerate(levels, start=1):
-        c, r = float(c), float(r)
-        lo, hi = c - r, c + r
-        if finite and not math.isfinite(lo):  # r < 1e160 when finite, so lo cannot overflow
-            raise ValueError(f"adaptive level {k} (delta=2^-{k}) has centre {c!r} and radius "
-                             f"{r!r}: the sample's block sums overflow float64")
-        _check_interval(lo, hi)
-        los.append(lo)
-        his.append(hi)
-    return los, his
+def _checked_bounds(c, r, adaptive: bool = False):
+    """Level bounds c -/+ r of the centres and radii (m,) of _batch._levels, each
+    checked like a ConfidenceInterval; the first failing level raises.  adaptive
+    first requires a finite centre and radius, before any bound is formed."""
+    if adaptive:
+        ok = np.isfinite(c) & np.isfinite(r)
+        k = ok.argmin()
+        if not ok[k]:
+            raise ValueError(f"adaptive level {k + 1} (delta=2^-{k + 1}) has centre "
+                             f"{float(c[k])!r} and radius {float(r[k])!r}: the sample's "
+                             "block sums overflow float64")
+    lo, hi = c - r, c + r
+    ok = lo <= hi  # also rejects NaN
+    k = ok.argmin()
+    if not ok[k]:
+        _check_interval(float(lo[k]), float(hi[k]))
+    return lo, hi
 
 
 def _family(levels) -> IntervalFamily:
@@ -120,7 +115,7 @@ def _fixed_bounds(values, sigma2_hi: float, delta_min: float):
     """Level bounds of fixed_sigma_family on a validated sample."""
     _check_sigma2_hi(sigma2_hi)
     m = _family_depth(delta_min, values.size)
-    return _centered_levels(_batch._levels(values, m, [_MOM_WIDTH * math.sqrt(sigma2_hi)] * m))
+    return _checked_bounds(*_batch._levels(values, m, _MOM_WIDTH * math.sqrt(sigma2_hi)))
 
 
 def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFamily:
@@ -136,7 +131,7 @@ def fixed_sigma_family(sample, sigma2_hi: float, delta_min: float) -> IntervalFa
 def _adaptive_bounds(values, delta_min: float):
     """Level bounds of adaptive_family on a validated sample."""
     m = _family_depth(delta_min, values.size)
-    return _centered_levels(_batch._adaptive_levels(values, m), finite=True)
+    return _checked_bounds(*_batch._adaptive_levels(values, m), adaptive=True)
 
 
 def adaptive_family(sample, delta_min: float) -> IntervalFamily:
@@ -165,7 +160,7 @@ def _kreg_bounds(values, k_reg: int, delta_min: float | None):
         m = _family_depth(delta_min, n)
     levels = [_check_interval(*map(float, _quartiles(values, _kreg_blocks(n, 2.0**-k, k_reg))))
               for k in range(1, m + 1)]
-    return [lo for lo, _ in levels], [hi for _, hi in levels]
+    return np.array(levels).T
 
 
 def quantile_kreg_family(sample, k_reg: int, delta_min: float | None = None) -> IntervalFamily:
@@ -187,7 +182,7 @@ def multiple_delta_estimate(sample, builder: str, *, sigma2_hi: float | None = N
     "quantile_kreg" (uses k_reg; delta_min defaults per the quartile
     construction).  The returned value takes no confidence level as input
     yet satisfies the deviation bound simultaneously for every delta the
-    family covers.  The levels are combined as float bounds, with the
+    family covers.  The level bounds are combined as arrays, with the
     family's checks and messages, so no interval object is built: the value
     is combine(<builder>_family(...)).estimate bit for bit.
     """
@@ -205,5 +200,5 @@ def multiple_delta_estimate(sample, builder: str, *, sigma2_hi: float | None = N
         levels = _kreg_bounds(as_values(sample), k_reg, delta_min)
     else:
         raise ValueError(f"unknown builder {builder!r}; expected one of {BUILDERS}")
-    _, lo, hi = _combine(*levels)
-    return 0.5 * (lo + hi)
+    _, lo, hi = _batch.combine_rows(*levels)
+    return 0.5 * (float(lo) + float(hi))

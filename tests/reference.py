@@ -13,6 +13,9 @@ pairwise_block_variance over the blocks; its bits differ, and
 tests/test_exact.py holds both within one bound of the exact value.
 `block_means`, `block_variances` and `levels` are the per-layout passes
 that the grouped block sums replace, on one sample or a chunk alike.
+`combine_levels` is the suffix walk, every suffix intersected afresh, that
+subgauss._batch.combine_rows vectorizes; `combine` applies it to a family,
+and the combined rows formulas below to each row.
 
 The rest are untiled reference versions of the variance-based batch
 kernels: the straightforward whole-matrix formulas, where the block means
@@ -29,7 +32,7 @@ import math
 
 import numpy as np
 
-from subgauss._batch import _LN2, combine_rows
+from subgauss._batch import _LN2
 from subgauss.adversarial import coupled_scaled_bernoulli
 from subgauss.core_estimators import (
     ConfidenceInterval,
@@ -136,6 +139,15 @@ def truncated_pipeline_rows(chunk: np.ndarray, b_max: int) -> np.ndarray:
     return pipeline_rows(chunk, b_max)[3]
 
 
+def _combined_midpoints(los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """Midpoint of each row's combined interval, by combine_levels."""
+    out = np.empty(los.shape[0])
+    for i, (row_lo, row_hi) in enumerate(zip(los.tolist(), his.tolist())):
+        _, lo, hi = combine_levels(row_lo, row_hi)
+        out[i] = 0.5 * (lo + hi)
+    return out
+
+
 def combined_adaptive_rows(chunk: np.ndarray, m: int) -> np.ndarray:
     t, n = chunk.shape
     a = 2.0 * math.sqrt(2.0) * math.e * 2.0
@@ -148,7 +160,7 @@ def combined_adaptive_rows(chunk: np.ndarray, m: int) -> np.ndarray:
         radius = (a * np.sqrt(nu2)) * math.sqrt((1.0 + k * _LN2) / n)
         los[:, k - 1] = centers - radius
         his[:, k - 1] = centers + radius
-    return combine_rows(los, his)[0]
+    return _combined_midpoints(los, his)
 
 
 def combined_fixed_rows(chunk: np.ndarray, m: int, sigma2_hi: float) -> np.ndarray:
@@ -161,7 +173,7 @@ def combined_fixed_rows(chunk: np.ndarray, m: int, sigma2_hi: float) -> np.ndarr
         radius = scale * math.sqrt((1.0 + k * _LN2) / n)
         los[:, k - 1] = centers - radius
         his[:, k - 1] = centers + radius
-    return combine_rows(los, his)[0]
+    return _combined_midpoints(los, his)
 
 
 def block_means(values: np.ndarray, b: int) -> np.ndarray:
@@ -258,23 +270,29 @@ def adaptive_family(sample, delta_min: float) -> IntervalFamily:
     return IntervalFamily(tuple(intervals))
 
 
-def combine(family: IntervalFamily) -> tuple[int, float, float]:
-    """(k_hat, lo, hi) with every suffix k..m intersected afresh.  Each
-    intersection folds from level m down, as the one-pass combine does, so a
-    tie of 0.0 and -0.0 resolves alike."""
+def combine_levels(los, his) -> tuple[int, float, float]:
+    """(k_hat, lo, hi) of the levels [los[k-1], his[k-1]], k = 1..m, as Python
+    floats, with every suffix k..m intersected afresh.  Each intersection
+    folds from level m down, so of equal endpoints (0.0 and -0.0) Python's
+    max and min keep the deeper level's.  The levels must not be NaN."""
 
     def suffix(k):
         lo, hi = -math.inf, math.inf
-        for iv in reversed(family.intervals[k - 1 :]):
-            lo, hi = max(lo, iv.lo), min(hi, iv.hi)
+        for level_lo, level_hi in zip(reversed(los[k - 1 :]), reversed(his[k - 1 :])):
+            lo, hi = max(lo, level_lo), min(hi, level_hi)
         return lo, hi
 
     # A suffix is nonempty whenever a longer one is, so k_hat is where the
     # walk down from m stops.
-    k_hat = family.m
+    k_hat = len(los)
     while k_hat > 1 and suffix(k_hat - 1)[0] <= suffix(k_hat - 1)[1]:
         k_hat -= 1
     return (k_hat, *suffix(k_hat))
+
+
+def combine(family: IntervalFamily) -> tuple[int, float, float]:
+    """combine_levels of the family's intervals."""
+    return combine_levels([iv.lo for iv in family.intervals], [iv.hi for iv in family.intervals])
 
 
 def pipeline(values: np.ndarray, b_max: int) -> tuple[float, float, float, float]:

@@ -17,12 +17,19 @@ from hypothesis import strategies as st
 
 import reference as ref
 from subgauss import _batch, core_estimators, kurtosis_pipeline, seeding
-from subgauss.core_estimators import _ceil_tol, median_of_means_raw, mom_variance
+from subgauss.core_estimators import ConfidenceInterval, _ceil_tol, median_of_means_raw
+from subgauss.core_estimators import mom_variance
 from subgauss.core_estimators import quantile_interval_raw
-from subgauss.interval_combiner import multiple_delta_estimate
+from subgauss.interval_combiner import IntervalFamily, combine, multiple_delta_estimate
 from subgauss.seeding import _MAX_CHUNK_TRIALS, chunk_bounds
 
 COMMON = settings(deadline=None, max_examples=40)
+
+
+def per_level(centres, radii) -> list[tuple]:
+    """(centre, radius) of each level k = 1..m of _batch._levels's (..., m) arrays."""
+    return [(centres[..., k], radii[..., k]) for k in range(centres.shape[-1])]
+
 
 FAMILIES = ("gaussian", "student", "pareto", "lognormal", "poisson", "bern2+", "bern2-")
 
@@ -115,6 +122,69 @@ def test_combined_fixed_rows_matches_reference(data):
     sigma2_hi = data.draw(st.sampled_from([0.25, 1.0, 1e6]))
     got = _batch.combined_fixed_rows(x, m, sigma2_hi)
     assert np.array_equal(got, ref.combined_fixed_rows(x, m, sigma2_hi), equal_nan=True)
+
+
+def _stop_at(k_hat: int, m: int = 5) -> tuple[list, list]:
+    """Levels k_hat..m nested about 0, level k_hat - 1 disjoint from them: the
+    suffix walk stops at k_hat, with [-k_hat, k_hat]."""
+    levels = [(-50.0, 50.0)] * (k_hat - 2) + [(100.0, 101.0)] * (k_hat > 1)
+    levels += [(-float(k), float(k)) for k in range(k_hat, m + 1)]
+    return [lo for lo, _ in levels], [hi for _, hi in levels]
+
+
+# (los, his) of a family, level 1 first.
+COMBINE_CASES = {
+    # Each walk step meets an equal endpoint of the other zero: the deeper
+    # level's is kept, [0.0, -0.0], where numpy's max and min keep the later.
+    "zero tie": ([-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 1.0, -0.0]),
+    "zero tie below a nonzero bound": ([-1.0, -0.0, 0.0], [0.0, 2.0, -0.0]),
+    "touching": ([0.0, 3.0], [3.0, 9.0]),
+    "m = 1": ([2.0], [8.0]),
+    "empty at every depth": ([0.0, 2.0, 4.0, 6.0, 8.0], [1.0, 3.0, 5.0, 7.0, 9.0]),
+    **{f"stops at {k}": _stop_at(k) for k in range(1, 6)},
+}
+
+
+def _combined(k_hat, lo, hi) -> tuple:
+    return int(k_hat), float(lo).hex(), float(hi).hex()
+
+
+@pytest.mark.parametrize("case", COMBINE_CASES)
+def test_combine_rows_walks_the_suffixes_like_the_reference(case):
+    # One family (m,), each of its rows in a (T, m) stack with random
+    # families, and the public combine agree with the reference's suffix
+    # walk bit for bit.
+    los, his = (np.array(v) for v in COMBINE_CASES[case])
+    want = _combined(*ref.combine_levels(los.tolist(), his.tolist()))
+    assert _combined(*_batch.combine_rows(los, his)) == want
+    result = combine(IntervalFamily(tuple(map(ConfidenceInterval, los, his))))
+    final = result.final_interval
+    assert (result.k_hat, final.lo.hex(), final.hi.hex()) == want
+    rng = np.random.default_rng(los.size)
+    stack_lo = rng.normal(size=(5, los.size))
+    stack_hi = stack_lo + rng.exponential(size=stack_lo.shape)
+    stack_lo[1::2], stack_hi[1::2] = los, his
+    k_hat, lo, hi = _batch.combine_rows(stack_lo, stack_hi)
+    for i, (row_lo, row_hi) in enumerate(zip(stack_lo.tolist(), stack_hi.tolist())):
+        assert _combined(k_hat[i], lo[i], hi[i]) == _combined(*ref.combine_levels(row_lo, row_hi))
+        if i % 2:
+            assert _combined(k_hat[i], lo[i], hi[i]) == want
+
+
+@COMMON
+@given(data=st.data(), m=st.integers(1, 8), t=st.integers(1, 6))
+def test_combine_rows_matches_the_reference_on_ties(data, m, t):
+    # Endpoints from a few values with both zeros, so that suffixes tie,
+    # touch and empty at random depths.
+    value = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    pairs = data.draw(st.lists(st.tuples(value, value).map(sorted), min_size=m * t,
+                               max_size=m * t))
+    los, his = np.array(pairs).T.reshape(2, t, m)
+    k_hat, lo, hi = _batch.combine_rows(los, his)
+    for i in range(t):
+        want = _combined(*ref.combine_levels(los[i].tolist(), his[i].tolist()))
+        assert _combined(k_hat[i], lo[i], hi[i]) == want
+        assert _combined(*_batch.combine_rows(los[i], his[i])) == want
 
 
 def _bits(value) -> int:
@@ -260,7 +330,8 @@ def test_group_holds_the_layouts_that_fit_the_chunk_target(monkeypatch, fit, mea
     # a full harness chunk (fit = 1) sums one layout a reduceat.  The levels'
     # bytes do not depend on the grouping.
     def level_bytes(x):
-        return [np.asarray(v).tobytes() for level in _batch._adaptive_levels(x, 9) for v in level]
+        levels = per_level(*_batch._adaptive_levels(x, 9))
+        return [np.asarray(v).tobytes() for level in levels for v in level]
 
     for shape in SHAPES:
         x = np.random.default_rng(2).standard_normal(shape)

@@ -78,6 +78,17 @@ class TestPartitionBlocks:
         with pytest.raises(ValueError):
             partition_blocks(5, 6)
 
+    @pytest.mark.parametrize("ten", [10.0, np.float64(10), np.int64(10)], ids=repr)
+    def test_integral_n_is_its_int(self, ten):
+        # n follows the integer rule of b: an integral float or numpy integer
+        # gives the partition of the int, a fraction is a ValueError naming n.
+        assert partition_blocks(ten, 3) == partition_blocks(10, 3)
+        assert type(partition_blocks(ten, 3).n) is int
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 10\.5$"):
+            partition_blocks(10.5, 3)
+        with pytest.raises(ValueError, match=r"^need 1 <= b <= n, got b=11, n=10$"):
+            partition_blocks(ten, 11)
+
 
 class TestBlockLayout:
     def test_cached_arrays_are_read_only(self):

@@ -489,11 +489,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "estimator,name,value",
         [("kurtosis", "b_max", 2.5), ("quantile_kreg", "k_reg", 1.5), ("empirical", "n", 256.9),
-         ("empirical", "trials", 20.7)],
+         ("empirical", "trials", 20.7), ("empirical", "threads", 1.5), ("empirical", "seed", 1.5),
+         ("empirical", "error_cap", 10.5)],
     )
     def test_counts_must_be_integers(self, estimator, name, value):
         cfg = ExperimentConfig(GAUSS, estimator, 256, 20, (0.1,), seed=1)
-        if name in ("n", "trials"):
+        if name in ("n", "trials", "threads", "seed", "error_cap"):
             cfg = dataclasses.replace(cfg, **{name: value})
         else:
             cfg = dataclasses.replace(cfg, params={name: value})
@@ -510,6 +511,9 @@ class TestConfigValidation:
 
         assert report(params={"b_max": three}) == report(params={"b_max": 3})
         assert report(n=256 * three // 3, trials=20 * three // 3) == report()
+        assert report(seed=three, threads=three, error_cap=10 * three // 3) == report(
+            seed=3, threads=3, error_cap=10
+        )
 
     def test_mom_needs_four_points(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from test_batch import FAMILIES, draw
+from test_batch import FAMILIES, draw, per_level
 from subgauss import Sample, _batch, interval_combiner, kurtosis_pipeline, seeding
 from subgauss.core_estimators import (
     _block_means,
@@ -343,6 +343,7 @@ def test_grouped_kernels_match_per_layout_passes(data, m):
     widths = [1.5] * m
     for got, want in ((_batch._levels(x, m, widths), ref.levels(x, m, widths)),
                       (_batch._adaptive_levels(x, m), ref.levels(x, m))):
+        got = per_level(*got)
         assert [(_raw(c), _raw(r)) for c, r in got] == [(_raw(c), _raw(r)) for c, r in want]
 
 
@@ -379,5 +380,5 @@ def test_split_groups_match_per_layout_passes(monkeypatch, n, per_group, order):
         means = dict(zip(both, _block_means(x, both)))
         for b, got in zip(vs, _block_variances(x, [means[b] for b in vs])):
             assert _raw(got) == _raw(ref.block_variances(x, b)), b
-        got, want = _batch._adaptive_levels(x, m), ref.levels(x, m)
+        got, want = per_level(*_batch._adaptive_levels(x, m)), ref.levels(x, m)
         assert [(_raw(c), _raw(r)) for c, r in got] == [(_raw(c), _raw(r)) for c, r in want]

@@ -8,9 +8,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from subgauss import ExperimentConfig, _batch, harness, parse_distribution, run_tail_experiment
+from subgauss.interval_combiner import adaptive_family, combine, multiple_delta_estimate
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -60,6 +62,31 @@ def test_experiment_calls_the_batch_kernel_by_name(monkeypatch, estimator, kerne
     )
     run_tail_experiment(config)
     assert calls
+
+
+@pytest.mark.parametrize(
+    "combined",
+    [
+        lambda x: multiple_delta_estimate(x, "fixed_sigma", sigma2_hi=1.0, delta_min=2.0**-10),
+        lambda x: multiple_delta_estimate(x, "adaptive", delta_min=2.0**-10),
+        lambda x: multiple_delta_estimate(x, "quantile_kreg"),
+        lambda x: combine(adaptive_family(x, 2.0**-10)),
+    ],
+    ids=["fixed_sigma", "adaptive", "quantile_kreg", "combine"],
+)
+def test_one_sample_combine_calls_the_batch_kernel_by_name(monkeypatch, combined):
+    # The one-sample estimators combine their levels by _batch.combine_rows,
+    # looked up at call time, so the tracer's batch.combine_rows span sees them.
+    calls = []
+    real = _batch.combine_rows
+
+    def counting(los, his):
+        calls.append(los.shape)
+        return real(los, his)
+
+    monkeypatch.setattr(_batch, "combine_rows", counting)
+    combined(np.random.default_rng(3).standard_normal(2000))
+    assert len(calls) == 1 and len(calls[0]) == 1
 
 
 def test_chunk_layout_constants_resolve_on_harness():
