@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import Sample, _fill_family, as_values
-from .seeding import chunk_bounds, trial_rngs
+from .distributions import Sample, _as_int, _draw_chunk, _fill_family, as_values
+from .seeding import chunk_bounds
 
 # Not called here, but perfbench/spans.py wraps the seeding layer under this
 # name in this module.
@@ -51,14 +51,6 @@ class CoupledSample:
             raise ValueError("nonzero x entries must all equal one positive c")
 
 
-def _coupled_rows(c: float, p: float, n: int, rngs, rows: int):
-    """(x, y) of shape (rows, n): row i of x is the bern2+:c,p draw of the i-th
-    Generator of rngs, and y = 0 - x."""
-    xs = np.empty((rows, n))
-    _fill_family("bern2+", (c, p), xs, rngs)
-    return xs, np.subtract(0.0, xs)  # not -xs, which would make the zeros -0.0
-
-
 def coupled_scaled_bernoulli(c: float, p: float, n: int, seed: int) -> CoupledSample:
     """Draw n i.i.d. coupled pairs: (c, -c) with probability p, else (0, 0).
 
@@ -71,10 +63,12 @@ def coupled_scaled_bernoulli(c: float, p: float, n: int, seed: int) -> CoupledSa
         raise ValueError(f"c={c!r} must be finite and > 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    n, seed = _as_int("n", n), _as_int("seed", seed)
     if n < 1:
         raise ValueError("n must be >= 1")
-    xs, ys = _coupled_rows(c, p, n, (np.random.default_rng(seed),), 1)
-    return CoupledSample(Sample(xs[0]), Sample(ys[0]))
+    xs = np.empty((1, n))
+    _fill_family("bern2+", (c, p), xs, (np.random.default_rng(seed),))
+    return CoupledSample(Sample(xs[0]), Sample(np.subtract(0.0, xs[0])))
 
 
 def scaled_bernoulli_moment(c: float, p: float, alpha: float) -> float:
@@ -115,15 +109,16 @@ def infvar_stress(
 
     Trial t is coupled_scaled_bernoulli(c, p, n, mix_seed(seed, t)), with
     c = (M / scaled_bernoulli_moment(1, p, alpha))^(1/(1+alpha)).  The
-    trials are seeded and drawn in chunks through the ``bern2+`` family's
-    fill, as the harness does, and the estimator is called on x, then y, of
-    trial 0, then of trial 1, and so on; each argument is a read-only
-    float64 array of length n.  The family is drawn by its token, not a
-    parsed spec, whose variance c*c*p*(1-p) overflows at c*c for tiny p.
+    trials are drawn in chunks of the ``bern2+`` family by the harness's
+    chunk draw, `distributions._draw_chunk`, and the estimator is called on
+    x, then y, of trial 0, then of trial 1, and so on; each argument is a
+    read-only float64 array of length n.  The family is drawn by its token,
+    not a parsed spec, whose variance c*c*p*(1-p) overflows at c*c for tiny p.
 
     Returns (failure_rate_plus, failure_rate_minus, match_rate).  By default
     p = (2/n) ln(2/delta); pass p to explore other couplings.
     """
+    n, trials, seed = _as_int("n", n), _as_int("trials", trials), _as_int("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n < 1:
@@ -159,7 +154,8 @@ def infvar_stress(
     fail_minus = 0
     match = 0
     for t0, t1 in chunk_bounds(trials, n):
-        xs, ys = _coupled_rows(c, p, n, trial_rngs(seed, t0, t1), t1 - t0)
+        xs = _draw_chunk("bern2+", (c, p), n, seed, t0, t1)
+        ys = np.subtract(0.0, xs)  # not -xs, which would make the zeros -0.0
         match += int(np.count_nonzero(~xs.any(axis=1)))
         xs.flags.writeable = False
         ys.flags.writeable = False

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .distributions import as_values
+from .distributions import _as_int, as_values
 
 __all__ = [
     "BlockPartition", "ConfidenceInterval", "partition_blocks", "quantile_select",
@@ -43,32 +43,17 @@ def _floor_tol(x: float, tol: float = 1e-9) -> int:
     return -_ceil_tol(-x, tol)
 
 
-def _as_int(name: str, value) -> int:
-    """value as an int: an int, numpy integer or integral float; else ValueError naming it."""
-    if isinstance(value, (int, np.integer)) or (
-            isinstance(value, (float, np.floating)) and float(value).is_integer()):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _rank(alpha: float, m: int) -> int:
     """1-based rank ceil(alpha*m) of the alpha-quantile of m values, in [1, m]."""
     return min(max(_ceil_tol(alpha * m), 1), m)
 
 
-@functools.lru_cache(maxsize=256)
 def _block_layout(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start offsets and sizes of the contiguous b-block partition of [n].
-
-    Cached, since one-sample calls repeat a few (n, b) pairs; the arrays are
-    shared between callers and therefore read-only.
-    """
+    """Start offsets and sizes of the contiguous b-block partition of [n]."""
     q, r = divmod(n, b)
     index = np.arange(b, dtype=np.intp)
     starts = index * q + np.minimum(index, r)  # block i < r holds q + 1 values
     sizes = np.diff(starts, append=n)
-    starts.flags.writeable = False
-    sizes.flags.writeable = False
     return starts, sizes
 
 

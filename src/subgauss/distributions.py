@@ -81,6 +81,14 @@ class Sample:
         return self.values.size
 
 
+def _as_int(name: str, value) -> int:
+    """value as an int: an int, numpy integer or integral float; else ValueError naming it."""
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def as_values(sample) -> np.ndarray:
     """Coerce a Sample or array-like into a validated 1-d float64 array."""
     if isinstance(sample, Sample):
@@ -204,7 +212,7 @@ def parse_distribution(spec_string: str) -> DistributionSpec:
 
 def format_distribution(dist: DistributionSpec) -> str:
     """Render a spec back to its canonical ``family:p1,p2`` string."""
-    return _TOKEN[dist.family] + ":" + ",".join(repr(float(p)) for p in dist.params)
+    return _token(dist) + ":" + ",".join(repr(float(p)) for p in dist.params)
 
 
 # Each family draws in two stages: a raw fill of one row from that row's
@@ -291,9 +299,17 @@ _FAMILIES = {
 _TOKEN = {row.family: token for token, row in _FAMILIES.items()}
 
 
+def _token(dist: DistributionSpec) -> str:
+    """The grammar token of dist's family; ValueError for a hand-built spec of no family."""
+    if dist.family not in _TOKEN:
+        raise ValueError(f"unknown family {dist.family!r}")
+    return _TOKEN[dist.family]
+
+
 def _fill_family(token: str, params: tuple, block: np.ndarray, rngs) -> None:
-    """_draw_rows for the family of a grammar token, with unchecked params: a
-    caller may draw a law whose moments overflow a float (bern2+ at C = 1e203)."""
+    """Fill row i of the C-ordered float64 block from the i-th Generator of rngs
+    by the family of a grammar token.  params are unchecked: a caller may
+    draw a law whose moments overflow a float (bern2+ at C = 1e203)."""
     family = _FAMILIES[token]
     for row, rng in zip(block, rngs):
         family.fill(row, rng, params)
@@ -301,20 +317,18 @@ def _fill_family(token: str, params: tuple, block: np.ndarray, rngs) -> None:
         family.transform(block, params)
 
 
-def _draw_rows(dist: DistributionSpec, block: np.ndarray, rngs) -> None:
-    """Fill each row of the C-ordered float64 block from its own Generator.
-
-    Row i receives exactly ``_draw(dist, block.shape[1], rng_i)`` for the
-    i-th Generator of the iterable rngs.
-    """
-    if dist.family not in _TOKEN:
-        raise ValueError(f"unknown family {dist.family!r}")
-    _fill_family(_TOKEN[dist.family], dist.params, block, rngs)
+def _draw_chunk(token: str, params: tuple, n: int, seed: int, t0: int, t1: int) -> np.ndarray:
+    """Trials t0..t1-1 of a run as a (t1 - t0, n) block: row t - t0 is the stream of
+    ``default_rng(mix_seed(seed, t))``, built by `seeding.trial_rngs`, so it is
+    sample(dist, n, mix_seed(seed, t)) for the family of token."""
+    block = np.empty((t1 - t0, n))
+    _fill_family(token, params, block, seeding.trial_rngs(seed, t0, t1))
+    return block
 
 
 def _draw(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     block = np.empty((1, n))
-    _draw_rows(dist, block, (rng,))
+    _fill_family(_token(dist), dist.params, block, (rng,))
     return block[0]
 
 
@@ -325,6 +339,7 @@ def sample(dist: DistributionSpec, n: int, seed: int) -> Sample:
     same (dist, n, seed) always yields the same Sample, independent of
     execution order or thread count.
     """
+    n, seed = _as_int("n", n), _as_int("seed", seed)
     if n < 1:
         raise ValueError("n must be >= 1")
     return Sample(_draw(dist, n, np.random.default_rng(seed)))
@@ -340,6 +355,7 @@ def regularity_probe(
     equal to j*mu counts toward both, so the two outputs can total more
     than 1.
     """
+    j, trials, seed = _as_int("j", j), _as_int("trials", trials), _as_int("seed", seed)
     if j < 1:
         raise ValueError("j must be >= 1")
     if trials < 1:

@@ -9,11 +9,11 @@ Reports are pure functions of the configuration: per-trial seeds derive from
 layout never depends on the thread count, and aggregation order is fixed.
 Repeating a run with any number of threads yields byte-identical files.
 
-Each chunk is seeded and drawn in bulk: `seeding.trial_rngs` builds the
-chunk's Generators from array-computed seeds and states, each row is filled
-from its own Generator, and the family's transform runs once over the whole
-chunk.  Row t still holds exactly sample(dist, n, mix_seed(seed, t)), the
-stream of ``np.random.default_rng(mix_seed(seed, t))``.
+Each chunk is drawn in bulk by `distributions._draw_chunk`, the one chunk
+draw, which `adversarial.infvar_stress` shares: row t holds exactly
+sample(dist, n, mix_seed(seed, t)), the stream of
+``np.random.default_rng(mix_seed(seed, t))``.  Deltas that plan the same
+kernel arguments share one kernel call and one error column a chunk.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ import numpy as np
 
 from . import _batch
 from ._version import __version__
-from .core_estimators import _LN2, _MOM_WIDTH, _REL_SLACK, _as_int, _kreg_blocks, _kreg_check
+from .core_estimators import _LN2, _MOM_WIDTH, _REL_SLACK, _kreg_blocks, _kreg_check
 from .core_estimators import _mom_blocks, _order_stat
-from .distributions import DistributionSpec, _draw_rows, format_distribution
+from .distributions import DistributionSpec, _as_int, _draw_chunk, _token, format_distribution
 from .interval_combiner import _check_sigma2_hi, _family_depth
 from .kurtosis_pipeline import _check as _kurtosis_check
 from .kurtosis_pipeline import delta_floor, xi_terms
-from .seeding import chunk_bounds, trial_rngs
+from .seeding import chunk_bounds
 
 # Not called here, but perfbench/spans.py wraps the one-trial draw and
 # seeding layers under these names in this module, and reads the chunk
@@ -265,11 +265,12 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
     p = _resolve_params(estimator, dist, config.params)
     kernel, blocks, floor, l_target = _SPECS[estimator][1](dist, n, p)
     l_target = p.get("l_target", l_target)
-    # Index of each valid delta -> block count of a delta-dependent kernel.
+    token = _token(dist)
+    # Valid delta index -> its kernel arguments: (), or (b,) for a delta-dependent block count b.
     valid = {}
     for j, d in enumerate(deltas):
         try:
-            valid[j] = None if blocks is None else blocks(d)
+            valid[j] = () if blocks is None else (blocks(d),)
         except ValueError:
             pass
     sigma = math.sqrt(dist.sigma2)
@@ -281,14 +282,16 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
         [l_target * denom[j] if j in valid else math.nan for j in range(nd)]
     )
 
-    # A delta-dependent estimator keeps one error column per delta, the
-    # others one column scored at every delta.  Exceedances are counted per
-    # chunk; the quantiles come from the kept trials, every trial unless
+    # Valid delta j is scored against error column col[j], one column for
+    # each distinct argument tuple.  Exceedances are counted per chunk; the
+    # quantiles come from the kept trials, every trial unless
     # trials > error_cap, when a stratified subsample is kept.
-    ddep = blocks is not None
+    columns = list(dict.fromkeys(valid.values()))
+    col = {j: columns.index(args) for j, args in valid.items()}
+    scored, scored_cols = list(col), list(col.values())
     kept = min(trials, error_cap)
     keep = (np.arange(kept, dtype=np.int64) * trials) // kept
-    store = np.full((kept, nd if ddep else 1), np.nan)
+    store = np.full((kept, len(columns)), np.nan)
     bounds = chunk_bounds(trials, n)
     counts = np.zeros((len(bounds), nd), dtype=np.int64)
     # Per chunk and delta: whether any trial error is NaN or infinite.
@@ -296,21 +299,17 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
 
     def run_chunk(ci: int) -> None:
         t0, t1 = bounds[ci]
-        c = t1 - t0
-        mat = np.empty((c, n), dtype=np.float64)
-        _draw_rows(dist, mat, trial_rngs(seed, t0, t1))
-        if ddep:
-            out = np.full((c, nd), np.nan)
-            for j, b in valid.items():
-                out[:, j] = np.abs(kernel(mat, b) - mu)
-        else:
-            out = np.abs(kernel(mat) - mu)[:, None]
-        nonfinite[ci] = ~np.isfinite(out).all(axis=0)
-        counts[ci] = np.count_nonzero(out > radius, axis=0)
+        mat = _draw_chunk(token, dist.params, n, seed, t0, t1)
+        out = np.empty((t1 - t0, len(columns)))
+        for i, args in enumerate(columns):
+            out[:, i] = np.abs(kernel(mat, *args) - mu)
+        err = out[:, scored_cols]
+        nonfinite[ci, scored] = ~np.isfinite(err).all(axis=0)
+        counts[ci, scored] = np.count_nonzero(err > radius[scored], axis=0)
         lo, hi = np.searchsorted(keep, (t0, t1))
         store[lo:hi] = out[keep[lo:hi] - t0]
 
-    if nd > 0:
+    if valid:
         if threads == 1 or len(bounds) == 1:
             for ci in range(len(bounds)):
                 run_chunk(ci)
@@ -335,7 +334,7 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
             flags.append("nonfinite")
         if sigma == 0.0:
             flags.append("degenerate")
-        q = _order_stat(store[:, j if ddep else 0], 1.0 - d)
+        q = _order_stat(store[:, col[j]], 1.0 - d)
         l_hat = q / float(denom[j]) if sigma > 0.0 else 0.0
         rows.append(
             TailRow(

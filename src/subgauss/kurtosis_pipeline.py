@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batch import _clipped_mean, _pipeline
-from .core_estimators import _MOM_WIDTH, _as_int
+from .core_estimators import _MOM_WIDTH
 # median_of_means_raw and mom_variance are not called here, but
 # perfbench/spans.py wraps the core estimators under these names in this module.
 from .core_estimators import median_of_means_raw, mom_variance  # noqa: F401
-from .distributions import as_values
+from .distributions import _as_int, as_values
 
 __all__ = ["KurtosisConfig", "XiTerms", "psi", "truncated_mean", "xi_terms", "kurtosis_estimate"]
 

@@ -1,4 +1,6 @@
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +11,16 @@ import reference as ref
 
 from subgauss import (
     DistributionSpec,
+    ExperimentConfig,
     MomentOverflowError,
     Sample,
     as_values,
+    coupled_scaled_bernoulli,
     format_distribution,
+    infvar_stress,
     parse_distribution,
     regularity_probe,
+    run_tail_experiment,
     sample,
 )
 from subgauss import distributions, seeding
@@ -398,6 +404,52 @@ def test_probe_rejects_bad_args():
         regularity_probe(d, 0, 10, 1)
     with pytest.raises(ValueError):
         regularity_probe(d, 1, 0, 1)
+
+
+# The draw entry points, by their integer arguments and those arguments' defaults.
+DRAW_ENTRY_POINTS = {
+    "sample": lambda n=5, seed=1: sample(parse_distribution("gaussian:0,1"), n, seed).values.tolist(),
+    "coupled": lambda n=10, seed=1: coupled_scaled_bernoulli(1.0, 0.1, n, seed).x.values.tolist(),
+    "stress": lambda n=100, trials=5, seed=1: infvar_stress(np.mean, n, 0.05, 1.0, 1.0, trials, seed),
+    "probe": lambda j=3, trials=10, seed=1: regularity_probe(
+        parse_distribution("gaussian:0,1"), j, trials, seed),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, name, value",
+    [("sample", "n", 5.5), ("sample", "seed", 1.5), ("coupled", "n", 10.5),
+     ("coupled", "seed", 1.5), ("stress", "n", 100.5), ("stress", "trials", 5.5),
+     ("stress", "seed", 1.5), ("stress", "seed", "7"), ("probe", "j", 2.5),
+     ("probe", "trials", 10.5), ("probe", "seed", 1.5)],
+)
+def test_draw_counts_must_be_integers(entry, name, value):
+    message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        DRAW_ENTRY_POINTS[entry](**{name: value})
+
+
+@pytest.mark.parametrize("entry", DRAW_ENTRY_POINTS)
+@pytest.mark.parametrize("cast", [float, np.float64, np.int64], ids=lambda c: c.__name__)
+def test_integral_draw_counts_are_ints(entry, cast):
+    call = DRAW_ENTRY_POINTS[entry]
+    defaults = {k: p.default for k, p in inspect.signature(call).parameters.items()}
+    assert call(**{k: cast(v) for k, v in defaults.items()}) == call()
+
+
+def test_unknown_family_is_a_value_error():
+    # A hand-built spec of no family fails before any draw, whether or not
+    # a delta of the experiment is valid.
+    nope = DistributionSpec("nope", (1.0,), 0.0, 1.0, 3.0)
+    calls = [
+        lambda: sample(nope, 3, 1),
+        lambda: format_distribution(nope),
+        lambda: run_tail_experiment(ExperimentConfig(nope, "empirical", 3, 5, (0.5,), seed=1)),
+        lambda: run_tail_experiment(ExperimentConfig(nope, "mom", 8, 5, (1e-3,), seed=1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^unknown family 'nope'$"):
+            call()
 
 
 def test_spec_rejects_inconsistent_moments():

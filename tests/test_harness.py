@@ -308,13 +308,14 @@ class TestChunkDraws:
     def test_chunk_rows_equal_one_trial_samples(self, monkeypatch, spec, n):
         # 4097 trials: a full 4096-row chunk at n=1 and one more row.
         blocks = []
-        real = harness_module._draw_rows
+        real = harness_module._draw_chunk
 
-        def recording(dist, block, rngs):
-            real(dist, block, rngs)
+        def recording(*args):
+            block = real(*args)
             blocks.append(block.copy())
+            return block
 
-        monkeypatch.setattr(harness_module, "_draw_rows", recording)
+        monkeypatch.setattr(harness_module, "_draw_chunk", recording)
         dist = parse_distribution(spec)
         trials, seed = 4097, 2**40 + 3
         run_tail_experiment(ExperimentConfig(dist, "empirical", n, trials, (0.5,), seed=seed))
@@ -323,6 +324,38 @@ class TestChunkDraws:
         for t in range(trials):
             want = sample(dist, n, mix_seed(seed, t)).values
             assert np.array_equal(rows[t].view(np.uint64), want.view(np.uint64))  # every bit
+
+    def test_deltas_of_one_block_count_share_a_kernel_call(self, monkeypatch):
+        # mom plans b = 2 at both deltas; 2100 trials of 256 are three chunks.
+        calls = []
+        real = _batch.mom_rows
+
+        def counting(chunk, b):
+            calls.append(b)
+            return real(chunk, b)
+
+        monkeypatch.setattr(_batch, "mom_rows", counting)
+
+        def rows(deltas):
+            cfg = ExperimentConfig(GAUSS, "mom", 256, 2100, deltas, seed=14, error_cap=700)
+            return [repr(row) for row in run_tail_experiment(cfg).rows]
+
+        shared = rows((0.25, 0.3))
+        assert calls == [2, 2, 2]
+        assert shared == rows((0.25,)) + rows((0.3,))
+
+    def test_no_valid_delta_draws_nothing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a chunk")
+
+        monkeypatch.setattr(harness_module, "_draw_chunk", no_draw)
+        cfg = ExperimentConfig(GAUSS, "mom", 8, 50, (1e-3, 1e-2), seed=1)
+        rows = run_tail_experiment(cfg).rows
+        assert [(row.delta, row.flag) for row in rows] == [
+            (1e-3, "invalid_delta"), (1e-2, "invalid_delta")
+        ]
+        for row in rows:
+            assert all(math.isnan(getattr(row, c)) for c in ("radius", "exceedance", "l_hat"))
 
 
 class TestChunkLayout:
