@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import Sample, _as_int, _draw_chunk, _fill_family, as_values
+from .distributions import Sample, _as_int, _count, _draw_chunk, _fill_family, as_values
 from .seeding import chunk_bounds
 
 # Not called here, but perfbench/spans.py wraps the seeding layer under this
@@ -63,9 +63,7 @@ def coupled_scaled_bernoulli(c: float, p: float, n: int, seed: int) -> CoupledSa
         raise ValueError(f"c={c!r} must be finite and > 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    n, seed = _as_int("n", n), _as_int("seed", seed)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, seed = _count("n", n), _count("seed", seed, 0)
     xs = np.empty((1, n))
     _fill_family("bern2+", (c, p), xs, (np.random.default_rng(seed),))
     return CoupledSample(Sample(xs[0]), Sample(np.subtract(0.0, xs[0])))
@@ -118,11 +116,7 @@ def infvar_stress(
     Returns (failure_rate_plus, failure_rate_minus, match_rate).  By default
     p = (2/n) ln(2/delta); pass p to explore other couplings.
     """
-    n, trials, seed = _as_int("n", n), _as_int("trials", trials), _as_int("seed", seed)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, trials, seed = _count("n", n), _count("trials", trials), _as_int("seed", seed)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < alpha <= 1.0:
@@ -196,8 +190,7 @@ def poisson_point_mass_check(m: int) -> bool:
     several nats, against a margin of ln(0.399/0.25) ~ 0.47 nats.  The true
     mass is ~ 1/sqrt(2 pi m), comfortably above the floor for every m >= 1.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _count("m", m)
     inv = 1.0 / m
     remainder = inv / 12.0 - inv**3 / 360.0 + inv**5 / 1260.0 - inv**7 / 1680.0
     log_pmf = -0.5 * math.log(2.0 * math.pi * m) - remainder

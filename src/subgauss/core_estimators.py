@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .distributions import _as_int, as_values
+from .distributions import _as_int, _count, as_values
 
 __all__ = [
     "BlockPartition", "ConfidenceInterval", "partition_blocks", "quantile_select",
@@ -28,19 +28,20 @@ _MOM_WIDTH = 2.0 * math.sqrt(2.0) * math.e  # the constant L of median_of_means
 _REG_RATE = 124.0  # block budget per regularity index: b*k <= n/2 with b ~ 62 ln(3/delta)
 _REG_MIN_FACTOR = (3.0 + math.log(4.0)) * _REG_RATE
 _REL_SLACK = 1e-12  # relative slack of a test at a range floor, for float rounding
+_INT_TOL = 1e-9  # relative distance within which _ceil_tol and _floor_tol snap to an integer
 
 
-def _ceil_tol(x: float, tol: float = 1e-9) -> int:
+def _ceil_tol(x: float) -> int:
     # Binary-float dust must not flip a count at an integer boundary:
     # ceil(-log(float(e^-2))) would otherwise give 3 instead of 2.
     r = round(x)
-    if abs(x - r) <= tol * max(1.0, abs(x)):
+    if abs(x - r) <= _INT_TOL * max(1.0, abs(x)):
         return int(r)
     return int(math.ceil(x))
 
 
-def _floor_tol(x: float, tol: float = 1e-9) -> int:
-    return -_ceil_tol(-x, tol)
+def _floor_tol(x: float) -> int:
+    return -_ceil_tol(-x)
 
 
 def _rank(alpha: float, m: int) -> int:
@@ -345,9 +346,7 @@ def quantile_interval_raw(sample, b: int) -> ConfidenceInterval:
 
 def _kreg_check(n: int, k: int) -> int:
     """The delta-free preconditions of quantile_interval: k as an int, ValueError if unmet."""
-    k = _as_int("k", k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _count("k", k)
     if n < _REG_MIN_FACTOR * k * (1.0 - _REL_SLACK):
         raise ValueError(
             f"need n >= {_REG_MIN_FACTOR * k:.1f} for regularity index k={k}, got n={n}"

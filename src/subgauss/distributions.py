@@ -4,6 +4,11 @@ Every spec carries the exact mean, variance, and kurtosis of its family so
 simulation output can be scored against the truth.  Kurtosis is the fourth
 central moment over sigma^4 (not excess); by convention it is 1 for
 degenerate distributions and may be infinite for sufficiently heavy tails.
+
+A seed handed straight to ``default_rng`` (`sample`, `regularity_probe`,
+`adversarial.coupled_scaled_bernoulli`) must be an integer >= 0, while a
+master seed (`harness.run_tail_experiment`, `adversarial.infvar_stress`) may
+be any integer, reduced mod 2^64 by `seeding.mix_seed`.
 """
 
 from __future__ import annotations
@@ -63,13 +68,7 @@ class Sample:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.ndim != 1:
-            raise ValueError("a sample must be one-dimensional")
-        if arr.size < 1:
-            raise ValueError("a sample needs at least one value")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("sample values must all be finite")
+        arr = as_values(np.array(self.values, dtype=np.float64, copy=True))
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -87,6 +86,15 @@ def _as_int(name: str, value) -> int:
             isinstance(value, (float, np.floating)) and float(value).is_integer()):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _count(name: str, value, least: int = 1) -> int:
+    """value as an int >= least, by _as_int: the rule on a count, or with
+    least=0 on a stream seed; else ValueError naming it."""
+    value = _as_int(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
 
 
 def as_values(sample) -> np.ndarray:
@@ -339,9 +347,7 @@ def sample(dist: DistributionSpec, n: int, seed: int) -> Sample:
     same (dist, n, seed) always yields the same Sample, independent of
     execution order or thread count.
     """
-    n, seed = _as_int("n", n), _as_int("seed", seed)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, seed = _count("n", n), _count("seed", seed, 0)
     return Sample(_draw(dist, n, np.random.default_rng(seed)))
 
 
@@ -353,25 +359,21 @@ def regularity_probe(
     Returns (p_minus_hat, p_plus_hat): the fraction of `trials` independent
     j-sums with sum <= j*mu and sum >= j*mu respectively.  A sum exactly
     equal to j*mu counts toward both, so the two outputs can total more
-    than 1.
+    than 1.  Raises ValueError when j*mu or a j-sum overflows float64.
     """
-    j, trials, seed = _as_int("j", j), _as_int("trials", trials), _as_int("seed", seed)
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    j, trials, seed = _count("j", j), _count("trials", trials), _count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     target = j * dist.mu
+    if not math.isfinite(target):
+        raise ValueError(f"j*mu overflows float64 (j={j}, mu={dist.mu!r})")
     below = 0
     above = 0
-    # Batches of about one harness chunk; each continues the same stream and
-    # the transforms are elementwise, so the batch size changes no output.
-    batch = max(1, min(trials, seeding._CHUNK_TARGET // j))
-    done = 0
-    while done < trials:
-        t = min(batch, trials - done)
-        sums = _draw(dist, t * j, rng).reshape(t, j).sum(axis=1)
+    # Each chunk continues the same stream and the transforms are
+    # elementwise, so the chunk layout changes no output.
+    for t0, t1 in seeding.chunk_bounds(trials, j):
+        sums = _draw(dist, (t1 - t0) * j, rng).reshape(t1 - t0, j).sum(axis=1)
+        if not np.isfinite(sums).all():
+            raise ValueError(f"a {j}-fold sum overflows float64 (j*mu = {target!r})")
         below += int(np.count_nonzero(sums <= target))
         above += int(np.count_nonzero(sums >= target))
-        done += t
     return below / trials, above / trials

@@ -31,7 +31,8 @@ from . import _batch
 from ._version import __version__
 from .core_estimators import _LN2, _MOM_WIDTH, _REL_SLACK, _kreg_blocks, _kreg_check
 from .core_estimators import _mom_blocks, _order_stat
-from .distributions import DistributionSpec, _as_int, _draw_chunk, _token, format_distribution
+from .distributions import DistributionSpec, _as_int, _count, _draw_chunk, _token
+from .distributions import format_distribution
 from .interval_combiner import _check_sigma2_hi, _family_depth
 from .kurtosis_pipeline import _check as _kurtosis_check
 from .kurtosis_pipeline import delta_floor, xi_terms
@@ -255,11 +256,9 @@ def run_tail_experiment(config: ExperimentConfig) -> TailReport:
     start = time.perf_counter()
     dist = config.dist
     estimator = config.estimator
-    n, trials, seed, threads, error_cap = (_as_int(name, getattr(config, name)) for name in
-                                           ("n", "trials", "seed", "threads", "error_cap"))
-    for name, count in dict(n=n, trials=trials, threads=threads, error_cap=error_cap).items():
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1")
+    n, trials, threads, error_cap = (_count(name, getattr(config, name)) for name in
+                                     ("n", "trials", "threads", "error_cap"))
+    seed = _as_int("seed", config.seed)
     deltas = config.deltas
     _validate_deltas(deltas)
     p = _resolve_params(estimator, dist, config.params)
@@ -382,8 +381,7 @@ def normalized_quantile_curve(errors, sigma: float, n: int, deltas):
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be > 0 for a normalized curve; report raw quantiles instead")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _count("n", n)
     arr = np.asarray(errors, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("errors must be a nonempty one-dimensional sequence")

@@ -20,7 +20,7 @@ from .core_estimators import _MOM_WIDTH
 # median_of_means_raw and mom_variance are not called here, but
 # perfbench/spans.py wraps the core estimators under these names in this module.
 from .core_estimators import median_of_means_raw, mom_variance  # noqa: F401
-from .distributions import _as_int, as_values
+from .distributions import _count, as_values
 
 __all__ = ["KurtosisConfig", "XiTerms", "psi", "truncated_mean", "xi_terms", "kurtosis_estimate"]
 
@@ -37,9 +37,7 @@ class KurtosisConfig:
     kappa_bound: float
 
     def __post_init__(self):
-        object.__setattr__(self, "b_max", _as_int("b_max", self.b_max))
-        if self.b_max < 1:
-            raise ValueError("b_max must be >= 1")
+        object.__setattr__(self, "b_max", _count("b_max", self.b_max))
         if not (math.isfinite(self.kappa_bound) and self.kappa_bound >= 1.0):
             raise ValueError("kappa_bound must be finite and >= 1")
 
@@ -102,9 +100,7 @@ def delta_floor(b_max: int) -> float:
 
 def _check(n: int, b_max: int) -> None:
     """The pipeline's preconditions on (n, b_max); ValueError if unmet."""
-    b_max = _as_int("b_max", b_max)
-    if b_max < 1:
-        raise ValueError("b_max must be >= 1")
+    b_max = _count("b_max", b_max)
     if n < 4:
         raise ValueError("kurtosis_estimate needs n >= 4")
     if n // b_max < 2:

@@ -165,8 +165,10 @@ def chunk_bounds(trials: int, n: int) -> list[tuple[int, int]]:
 
     Each chunk holds at most max(n, _CHUNK_TARGET) values (2 MiB of float64
     when n <= 2^18) and _MAX_CHUNK_TRIALS rows.  This is the one working-set
-    policy of the bulk draws; a kernel's scratch holds at most the larger of
-    its input and _CHUNK_TARGET values, so a chunk and a scratch take 4 MiB.
+    policy of the bulk draws: the harness, `adversarial.infvar_stress` and
+    `distributions.regularity_probe` (a chunk of j-sums) walk these ranges.
+    A kernel's scratch holds at most the larger of its input and
+    _CHUNK_TARGET values, so a chunk and a scratch take 4 MiB.
     """
     step = max(1, min(_MAX_CHUNK_TRIALS, _CHUNK_TARGET // n))
     return [(t0, min(t0 + step, trials)) for t0 in range(0, trials, step)]

@@ -551,6 +551,19 @@ class TestProbe:
         assert code == 1
         assert "lognormal:0,14" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dist, j, seed, message",
+        [("gaussian:0,1", "2", "-1", "seed must be >= 0"),
+         ("gaussian:9e307,1", "2", "1", "j*mu overflows float64"),
+         ("laplace:1e308", "2", "1", "j*mu overflows float64")],
+    )
+    def test_bad_input_exits_one(self, capsys, dist, j, seed, message):
+        code = run_cli(["probe", "--dist", dist, "--j", j, "--trials", "1000", "--seed", seed])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
 
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):

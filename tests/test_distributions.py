@@ -12,13 +12,17 @@ import reference as ref
 from subgauss import (
     DistributionSpec,
     ExperimentConfig,
+    KurtosisConfig,
     MomentOverflowError,
     Sample,
     as_values,
     coupled_scaled_bernoulli,
     format_distribution,
     infvar_stress,
+    normalized_quantile_curve,
     parse_distribution,
+    poisson_point_mass_check,
+    quantile_interval,
     regularity_probe,
     run_tail_experiment,
     sample,
@@ -394,6 +398,7 @@ def test_probe_batches_change_no_output(monkeypatch, spec, j):
     assert len(sizes) > 1 and max(sizes) <= max(j, seeding._CHUNK_TARGET)
     sizes.clear()
     monkeypatch.setattr(seeding, "_CHUNK_TARGET", 1 << 23)
+    monkeypatch.setattr(seeding, "_MAX_CHUNK_TRIALS", 1 << 23)
     assert regularity_probe(d, j, trials, 17) == got
     assert sizes == [trials * j]
 
@@ -404,6 +409,20 @@ def test_probe_rejects_bad_args():
         regularity_probe(d, 0, 10, 1)
     with pytest.raises(ValueError):
         regularity_probe(d, 1, 0, 1)
+
+
+@pytest.mark.parametrize("spec", ["gaussian:9e307,1", "gaussian:1e308,1", "laplace:1e308"])
+def test_probe_rejects_overflowing_j_mu(spec):
+    # j * mu is inf, and inf <= inf would count every sum on both sides.
+    with pytest.raises(ValueError, match=r"^j\*mu overflows float64"):
+        regularity_probe(parse_distribution(spec), 2, 1000, 1)
+
+
+def test_probe_rejects_overflowing_sums():
+    # A hand-built spec whose mu is finite but whose 100-fold sums are not.
+    wide = DistributionSpec("gaussian", (0.0, 1e307), 0.0, 1.0, 3.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^a 100-fold sum overflows"):
+        regularity_probe(wide, 100, 10, 1)
 
 
 # The draw entry points, by their integer arguments and those arguments' defaults.
@@ -427,6 +446,59 @@ def test_draw_counts_must_be_integers(entry, name, value):
     message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         DRAW_ENTRY_POINTS[entry](**{name: value})
+
+
+@pytest.mark.parametrize("entry", ["sample", "coupled", "probe"])
+def test_stream_seeds_must_be_nonnegative(entry):
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        DRAW_ENTRY_POINTS[entry](seed=-1)
+
+
+def test_seeds_of_2_to_the_64_keep_their_stream():
+    big = 2**64 + 5
+    want = np.random.default_rng(big).standard_normal(5).tolist()
+    assert DRAW_ENTRY_POINTS["sample"](seed=big) == want
+
+
+def _experiment(estimator="mom", params=None, **counts):
+    args = {"n": 64, "trials": 10, "deltas": (0.5,), "seed": 1, **counts}
+    return run_tail_experiment(
+        ExperimentConfig(parse_distribution("gaussian:0,1"), estimator, params=params or {},
+                         **args))
+
+
+def test_master_seeds_may_be_negative():
+    # mix_seed reduces a master seed mod 2^64, so -1 and 2^64 - 1 run the same trials.
+    assert _experiment(seed=-1).rows == _experiment(seed=2**64 - 1).rows
+
+
+# Every count of the library, by one call that takes it; the label ends in its name.
+COUNTS = {
+    "experiment n": lambda v: _experiment(n=v),
+    "experiment trials": lambda v: _experiment(trials=v),
+    "experiment threads": lambda v: _experiment(threads=v),
+    "experiment error_cap": lambda v: _experiment(error_cap=v),
+    "experiment kurtosis b_max": lambda v: _experiment("kurtosis", {"b_max": v}, n=600),
+    "curve n": lambda v: normalized_quantile_curve([1.0, 2.0], 1.0, v, [0.1]),
+    "sample n": lambda v: DRAW_ENTRY_POINTS["sample"](n=v),
+    "probe j": lambda v: DRAW_ENTRY_POINTS["probe"](j=v),
+    "probe trials": lambda v: DRAW_ENTRY_POINTS["probe"](trials=v),
+    "coupled n": lambda v: DRAW_ENTRY_POINTS["coupled"](n=v),
+    "stress n": lambda v: DRAW_ENTRY_POINTS["stress"](n=v),
+    "stress trials": lambda v: DRAW_ENTRY_POINTS["stress"](trials=v),
+    "poisson m": poisson_point_mass_check,
+    "KurtosisConfig b_max": lambda v: KurtosisConfig(v, 9.0),
+    "quantile_interval k": lambda v: quantile_interval(np.zeros(600), 0.5, v),
+}
+
+
+@pytest.mark.parametrize("label", COUNTS)
+@pytest.mark.parametrize("value", [0, -1, 2.5])
+def test_every_count_follows_one_rule(label, value):
+    name = label.split()[-1]
+    message = f"^{name} must be >= 1$" if value < 1 else f"^{name} must be an integer, got 2\\.5$"
+    with pytest.raises(ValueError, match=message):
+        COUNTS[label](value)
 
 
 @pytest.mark.parametrize("entry", DRAW_ENTRY_POINTS)
